@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
+Each suite's wall time and rate (cases/s) go to stderr, so stdout and
+the reports stay identical from run to run.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -8,6 +10,7 @@ print a summary table; optionally write the JSON reports to a directory.
 import argparse
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -51,13 +54,17 @@ def main() -> int:
     for name, variants, runner in MATRIX:
         for tag in variants:
             variant = Variant(tag)
+            start = time.perf_counter()
             report = runner(variant, config)
+            elapsed = time.perf_counter() - start
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"
             print(f"{status}  {report.suite_name:28s} variant={tag} "
                   f"cases={report.cases_run:5d} failures={len(report.failures)}")
             for w in report.witnesses:
                 print(f"        {w}")
+            print(f"time  {report.suite_name:28s} variant={tag} {elapsed:8.3f} s "
+                  f"{report.cases_run / elapsed:9.1f} cases/s", file=sys.stderr)
             if args.json_dir:
                 path = args.json_dir / f"{report.suite_name}_{tag}_seed{args.seed}.json"
                 path.write_bytes(write_report(report))

@@ -41,6 +41,19 @@ def write_report(report: Report) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hnn-nearring",
@@ -77,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_variant(p)
     p.add_argument("--suite", required=True, choices=_SUITES)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--depth", type=int, default=3, help="maximum sampled level")
+    p.add_argument("--count", type=_int_at_least(1), default=200)
+    p.add_argument("--depth", type=_int_at_least(0), default=3,
+                   help="maximum sampled level")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     return parser
 
@@ -110,8 +124,9 @@ _VALUE_OPTIONS = {"--variant", "--zeta", "--subgroup", "--suite", "--seed",
 
 
 def _normalize_argv(argv: Sequence[str]) -> list:
-    """Let expression positionals start with '-' by regrouping known
-    options first and fencing the positionals behind '--'."""
+    """Let expression positionals and option values start with '-' by
+    regrouping known options first, joining each to its value as
+    ``--opt=value``, and fencing the positionals behind '--'."""
     argv = list(argv)
     if not argv or argv[0] in ("-h", "--help"):
         return argv
@@ -119,7 +134,7 @@ def _normalize_argv(argv: Sequence[str]) -> list:
     expect_value = False
     for tok in argv[1:]:
         if expect_value:
-            opts.append(tok)
+            opts[-1] += "=" + tok
             expect_value = False
         elif tok == "--":
             continue

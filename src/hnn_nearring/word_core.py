@@ -13,6 +13,13 @@ front of each letter is a fixed representative of the coset of the cyclic
 subgroup attached to that letter.  Structural equality of canonical forms
 is therefore equality in the group.  The group law is written additively
 throughout even though the group is highly nonabelian.
+
+Because every element and letter is interned, identity is equality is
+the hash: elements and letters define neither ``__eq__`` nor
+``__hash__``, and ``Variant`` takes ``object.__hash__``, so dictionary
+keys built from them hash and compare at C speed and memo tables keyed
+on operands cost O(1).  Hashes are then addresses, which differ between
+runs, so no output may depend on the iteration order of a set of them.
 """
 
 from __future__ import annotations
@@ -91,6 +98,10 @@ class Variant(enum.Enum):
     B_FREE_BASE = "B"
     C_INT_OMEGA_BASE = "C"
 
+    # members are singletons, so the identity hash is exact and avoids
+    # Enum.__hash__, which hashes the member name in Python
+    __hash__ = object.__hash__
+
     @property
     def int_base(self) -> bool:
         return self is not Variant.B_FREE_BASE
@@ -142,20 +153,16 @@ ZERO = _Zero()
 class IntChunk(Element):
     """Nonzero base integer, variants A and C."""
 
-    __slots__ = ("n", "variant", "_hash")
+    __slots__ = ("n", "variant")
 
     level = 0
 
     def __init__(self, n: int, variant: Variant):
         self.n = n
         self.variant = variant
-        self._hash = hash((1, n, variant))
 
     def __repr__(self):
         return str(self.n)
-
-    def __hash__(self):
-        return self._hash
 
     def _size(self):
         return abs(self.n)
@@ -168,20 +175,16 @@ class WordChunk(Element):
     ``-(i+1)`` for its inverse.
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ("letters",)
 
     level = 0
     variant = Variant.B_FREE_BASE
 
     def __init__(self, letters: Tuple[int, ...]):
         self.letters = letters
-        self._hash = hash((2, letters))
 
     def __repr__(self):
         return "p(" + ",".join(map(str, self.letters)) + ")"
-
-    def __hash__(self):
-        return self._hash
 
     def _size(self):
         return len(self.letters)
@@ -190,21 +193,17 @@ class WordChunk(Element):
 class StableLetter:
     """The letter ``t[alpha,beta]``, identified by its ordered subscript pair."""
 
-    __slots__ = ("alpha", "beta", "level", "variant", "_hash", "_sz")
+    __slots__ = ("alpha", "beta", "level", "variant", "_sz")
 
     def __init__(self, alpha: Element, beta: Element):
         self.alpha = alpha
         self.beta = beta
         self.level = max(alpha.level, beta.level) + 1
         self.variant = _join_variants(alpha.variant, beta.variant)
-        self._hash = hash((3, alpha, beta))
         self._sz = 1 + alpha._size() + beta._size()
 
     def __repr__(self):
         return f"t[{self.alpha!r},{self.beta!r}]"
-
-    def __hash__(self):
-        return self._hash
 
 
 #: a signed letter is a pair (sign, StableLetter) with sign in {+1, -1}
@@ -223,7 +222,7 @@ class Seq(Element):
     ``omega`` nonzero.
     """
 
-    __slots__ = ("level", "variant", "coeffs", "letters", "omega", "_hash", "_sz", "_rp")
+    __slots__ = ("level", "variant", "coeffs", "letters", "omega", "_sz", "_rp")
 
     def __init__(self, lvl, variant, coeffs, letters, omega):
         self.level = lvl
@@ -231,7 +230,6 @@ class Seq(Element):
         self.coeffs = coeffs
         self.letters = letters
         self.omega = omega
-        self._hash = hash((4, lvl, variant, coeffs, letters, omega))
         sz = abs(omega)
         for c in coeffs:
             sz += c._size()
@@ -256,15 +254,14 @@ class Seq(Element):
             self._rp = "{" + "+".join(parts) + "}"
         return self._rp
 
-    def __hash__(self):
-        return self._hash
-
     def _size(self):
         return self._sz
 
 
-# interning tables; value identity stands in for structural equality,
-# and setdefault keeps racing constructors harmless under threads
+# interning tables: keys hold only ints and already-interned objects, so
+# identity is equality is the hash, and one canonical object per value
+# makes that hold for what the tables return; setdefault keeps racing
+# constructors harmless under threads
 _INT_CACHE: dict = {}
 _WORD_CACHE: dict = {}
 _LETTER_CACHE: dict = {}
@@ -459,7 +456,8 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
     cancelled as a pinch.  Cancellations cascade through the stack.
     """
     acc = ZERO
-    pairs = []  # (coset representative, signed letter)
+    coeffs = []  # coset representative in front of letters[m]
+    letters = []
     for it in items:
         if isinstance(it, Element):
             if it is not ZERO:
@@ -469,19 +467,20 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
         gen_in = lt.alpha if sign > 0 else lt.beta
         gen_out = lt.beta if sign > 0 else lt.alpha
         r, j = _coset_split(acc, gen_in)
-        if r is ZERO and pairs and pairs[-1][1][1] is lt and pairs[-1][1][0] == -sign:
-            prev, _ = pairs.pop()
-            acc = add(prev, scale(j, gen_out))
+        if r is ZERO and letters and letters[-1][1] is lt and letters[-1][0] == -sign:
+            letters.pop()
+            acc = add(coeffs.pop(), scale(j, gen_out))
         else:
-            pairs.append((r, it))
+            coeffs.append(r)
+            letters.append(it)
             acc = scale(j, gen_out)
-    if not pairs:
-        if omega == 0:
-            return acc
-        return _intern_seq(lvl, variant, (acc,), (), omega)
-    coeffs = tuple(r for r, _ in pairs) + (acc,)
-    letters = tuple(sl for _, sl in pairs)
-    return _intern_seq(lvl, variant, coeffs, letters, omega)
+    if not letters and omega == 0:
+        return acc
+    coeffs.append(acc)
+    return _intern_seq(lvl, variant, tuple(coeffs), tuple(letters), omega)
+
+
+_ADD_CACHE: dict = {}
 
 
 def add(a: Element, b: Element) -> Element:
@@ -496,9 +495,13 @@ def add(a: Element, b: Element) -> Element:
         if v is Variant.B_FREE_BASE:
             return _word_from(_reduce_word_letters(list(a.letters) + list(b.letters)))
         return make_int(a.n + b.n, v)
-    ia, oa = _items_of(a, lvl)
-    ib, ob = _items_of(b, lvl)
-    return _assemble(lvl, ia + ib, oa + ob, v)
+    key = (a, b)
+    hit = _ADD_CACHE.get(key)
+    if hit is None:
+        ia, oa = _items_of(a, lvl)
+        ib, ob = _items_of(b, lvl)
+        hit = _ADD_CACHE[key] = _assemble(lvl, ia + ib, oa + ob, v)
+    return hit
 
 
 def sum_elements(pieces) -> Element:
@@ -845,6 +848,7 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
 
 def clear_caches():
     """Drop memoized results (interning tables stay)."""
+    _ADD_CACHE.clear()
     _CYCLIC_CACHE.clear()
     _SPLIT_CACHE.clear()
     _POWER_CACHE.clear()

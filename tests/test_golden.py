@@ -1,0 +1,54 @@
+"""Golden gate: the seed-7, count-200, depth-3 reports of every
+suite/variant pair must stay byte-identical to the committed files in
+``tests/golden``, which were written by
+
+    scripts/run_suites.py --seed 7 --count 200 --depth 3 --json-dir tests/golden
+
+A change to the engine that alters any normal form, sampled element or
+report encoding shows up here as a byte difference."""
+
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from hnn_nearring import SampleConfig, Variant, write_report
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+CONFIG = SampleConfig(seed=7, count=200, max_level=3)
+
+_spec = importlib.util.spec_from_file_location("run_suites", ROOT / "scripts" / "run_suites.py")
+run_suites = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_suites)
+
+#: every (suite, variant) pair of the script's matrix, with its runner
+PAIRS = [pytest.param(runner, tag, id=f"{name}-{tag}")
+         for name, tags, runner in run_suites.MATRIX for tag in tags]
+
+
+@pytest.mark.parametrize("runner, tag", PAIRS)
+def test_report_matches_golden(runner, tag):
+    report = runner(Variant(tag), CONFIG)
+    path = GOLDEN / f"{report.suite_name}_{tag}_seed{CONFIG.seed}.json"
+    assert write_report(report) == path.read_bytes()
+
+
+def test_every_golden_is_checked():
+    assert len(PAIRS) == len(list(GOLDEN.glob("*.json"))) == 14
+
+
+def test_run_suites_times_on_stderr_only():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suites.py"),
+         "--seed", "7", "--count", "3", "--depth", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    timings = proc.stderr.splitlines()
+    assert len(timings) == len(PAIRS)
+    assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
+    assert "cases/s" not in proc.stdout
+    assert len([ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]) == len(PAIRS)

@@ -1,6 +1,10 @@
 """Expression grammar, canonical rendering, CLI behavior, JSON reports."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,8 +138,35 @@ class TestCli:
         # one sampled triple is not enough to find a left-distributivity
         # counterexample at this seed, so the suite reports failure
         code = run_cli(["check", "--variant", "A", "--suite", "leftdistrib",
-                        "--seed", "1", "--count", "0"])
+                        "--seed", "1", "--count", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--count", "-3"),
+                                             ("--depth", "-1")])
+    def test_check_rejects_out_of_range_sizes(self, flag, value, capsys):
+        code = run_cli(["check", "--variant", "A", "--suite", "axioms", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be at least" in err
+
+    def test_option_value_starting_with_dash(self, capsys):
+        assert run_cli(["apply", "--variant", "A", "--zeta=-t[1,2]", "3"]) == 0
+        joined = capsys.readouterr().out
+        assert run_cli(["apply", "--variant", "A", "--zeta", "-t[1,2]", "3"]) == 0
+        assert capsys.readouterr().out == joined
+        assert run_cli(["apply", "--variant", "A", "3", "--zeta", "-t[1,2]"]) == 0
+        assert capsys.readouterr().out == joined
+
+    def test_python_dash_m(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hnn_nearring", "eval", "--variant", "A",
+             "-t[1,2] + 1 + t[1,2]"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "2"
+        assert proc.stderr == ""
 
     def test_usage_errors(self):
         assert run_cli(["eval", "--variant", "A", "om(0)"]) == 2

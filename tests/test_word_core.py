@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hnn_nearring import (
     ZERO,
     DegeneratePair,
+    Seq,
     Variant,
     VariantMismatch,
     WrongVariant,
@@ -29,6 +30,7 @@ from hnn_nearring import (
     size,
     top_letter_count,
 )
+from hnn_nearring import word_core
 from conftest import elements, nonzero_elements
 
 A = Variant.A_INT_BASE
@@ -291,3 +293,44 @@ class TestCanonical:
     @settings(max_examples=60, deadline=None)
     def test_neg_of_sum(self, a, b):
         assert neg(add(a, b)) is add(neg(b), neg(a))
+
+
+class TestIdentityHashing:
+    """Interned values hash by identity, so an element reached by two
+    routes must be the very same dictionary key."""
+
+    @given(elements(A), elements(A))
+    @settings(max_examples=40, deadline=None)
+    def test_add_and_renormalize_give_one_key(self, a, b):
+        s = add(a, b)
+        table = {s: "sum", (s, A): "pair"}
+        assert table[renormalize(s)] == "sum"
+        assert table[(renormalize(s), A)] == "pair"
+        assert len({s: 0, renormalize(s): 0, add(a, b): 0}) == 1
+
+    @given(elements(C), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_and_repeated_add_give_one_key(self, a, k):
+        total = ZERO
+        for _ in range(k):
+            total = add(total, a)
+        assert {scale(k, a): k}[total] == k
+
+    def test_variant_members_as_keys(self):
+        table = {v: v.value for v in Variant}
+        for tag in "ABC":
+            assert table[Variant(tag)] == tag
+            assert (1, Variant(tag)) in {(1, v) for v in Variant}
+        assert len(table) == 3
+
+    def test_clear_caches_empties_add_memo(self):
+        x = make_stable(make_int(1, A), make_int(-1, A))
+        y = add(add(make_int(3, A), x), x)
+        pairs = [(x, make_int(2, A)), (y, neg(x)), (neg(y), y)]
+        sums = [add(a, b) for a, b in pairs]
+        assert isinstance(sums[0], Seq) and sums[2] is ZERO
+        assert word_core._ADD_CACHE
+        word_core.clear_caches()
+        assert not word_core._ADD_CACHE
+        for (a, b), s in zip(pairs, sums):
+            assert add(a, b) is s
