@@ -206,6 +206,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # parser, engine and renderer recurse per letter level
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 2
     parser.error(f"unhandled command {args.command}")
     return 2
 

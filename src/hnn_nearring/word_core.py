@@ -634,11 +634,7 @@ def cyclic_reduce(a: Element):
                 letters = letters[1:-1]
             cur = _word_from(list(letters))
             break
-        k = len(cur.letters)
-        if k == 0:
-            break
-        doubled = add(cur, cur)
-        if top_letter_count(doubled, cur.level) == 2 * k:
+        if _joins_clean(cur, cur, cur.level):
             break
         c0 = cur.coeffs[0]
         if c0 is not ZERO:
@@ -729,25 +725,25 @@ def _k_part(e: Seq) -> Element:
 def _walk_argmin(e: Element, a: Element, le: int, p: int) -> int:
     """Pick the coset representative among ``e + k*a``.
 
-    Walk both directions from ``e``.  Once an append is clean (the letter
-    count grows by exactly the count of the cyclically reduced ``a``) all
-    later appends are clean too, so no representative candidates lie
-    beyond the first clean step; the candidate set therefore contains
-    every letter-count minimizer of the coset no matter which member the
-    walk starts from, which keeps the choice coset-invariant."""
+    Walk both directions from ``e``, testing each append at the junction
+    with ``_joins_clean`` before building it.  A clean append keeps every
+    letter, so it has exactly ``p`` letters more than the candidate before
+    it, which is already in the set: neither it nor any later append (all
+    clean once one is, ``a`` being cyclically reduced) can minimize the
+    letter count, and the direction stops without building it.  The
+    candidates therefore contain every letter-count minimizer of the
+    coset no matter which member the walk starts from, which keeps the
+    choice coset-invariant."""
     lvl = a.level
     cap = (2 * le) // p + 4
     cands = [(_metric(e, lvl), 0, e)]
     for step, sgn in ((a, 1), (neg(a), -1)):
         x = e
-        prev = cands[0][0]
         for k in range(1, cap + 1):
-            x = add(x, step)
-            m = _metric(x, lvl)
-            cands.append((m, sgn * k, x))
-            if m == prev + p:
+            if _joins_clean(x, step, lvl):
                 break
-            prev = m
+            x = add(x, step)
+            cands.append((_metric(x, lvl), sgn * k, x))
     best_m = min(c[0] for c in cands)
     pool = [c for c in cands if c[0] == best_m]
     if len(pool) > 1:
@@ -756,6 +752,29 @@ def _walk_argmin(e: Element, a: Element, le: int, p: int) -> int:
         if len(pool) > 1:
             pool.sort(key=lambda c: repr(c[2]))
     return pool[0][1]
+
+
+def _joins_clean(x: Element, y: Element, lvl: int) -> bool:
+    """Whether ``x + y`` keeps every stage-``lvl`` letter of both
+    canonical operands (of level at most ``lvl``), read off at the
+    junction without building the sum.
+
+    Two reduced words can cancel only where they meet (Britton's lemma):
+    at stage 0 the last code of ``x`` against the first code of ``y``;
+    above it the last letter of ``x`` against the first letter of ``y``,
+    which pinch exactly when they are inverse and the junction
+    coefficient splits to the zero representative against the generator
+    ``_assemble`` splits against for that letter."""
+    if lvl == 0:
+        return not (isinstance(x, WordChunk) and isinstance(y, WordChunk)
+                    and x.letters[-1] == -y.letters[0])
+    if top_letter_count(x, lvl) == 0 or top_letter_count(y, lvl) == 0:
+        return True
+    sign, lt = y.letters[0]
+    if x.letters[-1] != (-sign, lt):
+        return True
+    gen_in = lt.alpha if sign > 0 else lt.beta
+    return _coset_split(add(x.coeffs[-1], y.coeffs[0]), gen_in)[0] is not ZERO
 
 
 def _metric(x: Element, lvl: int) -> int:

@@ -5,7 +5,10 @@ suite/variant pair must stay byte-identical to the committed files in
     scripts/run_suites.py --seed 7 --count 200 --depth 3 --json-dir tests/golden
 
 A change to the engine that alters any normal form, sampled element or
-report encoding shows up here as a byte difference."""
+report encoding shows up here as a byte difference.  The reports carry
+few element texts, so ``normal_forms_seed7.txt``, written by
+``scripts/write_normal_forms.py``, pins rendered normal forms of sampled
+elements, their negatives, sums and embedding images as well."""
 
 import importlib.util
 import os
@@ -21,9 +24,16 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CONFIG = SampleConfig(seed=7, count=200, max_level=3)
 
-_spec = importlib.util.spec_from_file_location("run_suites", ROOT / "scripts" / "run_suites.py")
-run_suites = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_suites)
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_suites = _load_script("run_suites")
+write_normal_forms = _load_script("write_normal_forms")
 
 #: every (suite, variant) pair of the script's matrix, with its runner
 PAIRS = [pytest.param(runner, tag, id=f"{name}-{tag}")
@@ -35,6 +45,10 @@ def test_report_matches_golden(runner, tag):
     report = runner(Variant(tag), CONFIG)
     path = GOLDEN / f"{report.suite_name}_{tag}_seed{CONFIG.seed}.json"
     assert write_report(report) == path.read_bytes()
+
+
+def test_normal_forms_match_golden():
+    assert write_normal_forms.normal_forms() == write_normal_forms.GOLDEN.read_bytes()
 
 
 def test_every_golden_is_checked():

@@ -33,6 +33,14 @@ B = Variant.B_FREE_BASE
 C = Variant.C_INT_OMEGA_BASE
 
 
+def _tower(levels):
+    """``t[...t[t[1,2],2]...,2]``, nested ``levels`` letters deep."""
+    text = "t[1,2]"
+    for _ in range(levels - 1):
+        text = f"t[{text},2]"
+    return text
+
+
 class TestParse:
     def test_relation_example(self):
         e = parse_element("-t[1,2] + 1 + t[1,2]", A)
@@ -167,6 +175,20 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "2"
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--variant", "A", _tower(800)],  # the parser gives out
+        ["apply", "--variant", "A", "--zeta=" + _tower(300), _tower(300)],  # the renderer
+    ], ids=["eval-800", "apply-300"])
+    def test_deep_nesting_is_a_usage_error(self, args, capsys):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expression nested too deeply\n"
+
+    def test_moderate_nesting_evaluates(self, capsys):
+        assert run_cli(["eval", "--variant", "A", _tower(200)]) == 0
+        assert capsys.readouterr().out.strip() == _tower(200)
 
     def test_usage_errors(self):
         assert run_cli(["eval", "--variant", "A", "om(0)"]) == 2

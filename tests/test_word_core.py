@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hnn_nearring import (
     ZERO,
     DegeneratePair,
+    SampleConfig,
     Seq,
     Variant,
     VariantMismatch,
@@ -26,6 +27,7 @@ from hnn_nearring import (
     neg,
     power_of,
     renormalize,
+    sample_element,
     scale,
     size,
     top_letter_count,
@@ -334,3 +336,95 @@ class TestIdentityHashing:
         assert not word_core._ADD_CACHE
         for (a, b), s in zip(pairs, sums):
             assert add(a, b) is s
+
+
+def _samples(variant, seed, count, max_level):
+    config = SampleConfig(seed=seed, count=count, max_level=max_level)
+    return [sample_element(config, i, variant) for i in range(count)]
+
+
+class TestJoinsClean:
+    """``_joins_clean`` reads off at the junction what building the sum
+    and counting its letters (basis codes at stage 0) would say."""
+
+    @staticmethod
+    def agrees(x, y, lvl):
+        count = word_core._metric
+        whole = count(add(x, y), lvl) == count(x, lvl) + count(y, lvl)
+        return word_core._joins_clean(x, y, lvl) is whole
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_sampled_pairs(self, variant):
+        xs = _samples(variant, 41, 100, 4)
+        low = [z for z in xs if z.level == 0][:3]
+        checked = pinched = 0
+        for i, x in enumerate(xs):
+            # neg(x) behind a base element meets x's last letter inverted,
+            # across coefficients that do and do not pinch
+            ys = [xs[(i + 1) % len(xs)], xs[(i * 7 + 3) % len(xs)], x, neg(x)]
+            for y in ys + [add(z, neg(x)) for z in low]:
+                for lvl in range(max(x.level, y.level, 0), 5):
+                    assert self.agrees(x, y, lvl), (i, lvl)
+                    checked += 1
+                    pinched += not word_core._joins_clean(x, y, lvl)
+        assert checked > 500 and pinched > 50
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_walk_steps(self, variant):
+        # the coset walk appends a cyclically reduced core or its negative
+        xs = _samples(variant, 43, 60, 4)
+        for i, g in enumerate(xs):
+            if g is ZERO:
+                continue
+            _, a = cyclic_reduce(g)
+            lvl = max(a.level, 0)
+            for e in xs[i + 1:i + 6]:
+                if e.level > lvl:
+                    continue
+                for x in (e, add(e, a), add(e, neg(a)), a, neg(a)):
+                    for y in (a, neg(a)):
+                        assert self.agrees(x, y, lvl), (i, lvl)
+
+    def test_hand_built(self):
+        one, two, three = (make_int(n, A) for n in (1, 2, 3))
+        t, u = make_stable(one, two), make_stable(one, three)
+        cases = [
+            # single pinch: t + 2 - t = 1
+            (add(t, two), neg(t), 1, False),
+            # inverse letters across a coefficient outside <2>: no pinch
+            (add(t, three), neg(t), 1, True),
+            # cascading pinch: both letters of x cancel
+            (add(t, u), add(add(neg(u), neg(t)), make_stable(two, three)), 1, False),
+            # lower-level x: nothing to cancel against
+            (make_int(5, A), t, 1, True),
+            (t, make_stable(t, two), 2, True),
+            # free words at stage 0
+            (make_pi([1, 2]), make_pi([(2, -1)]), 0, False),
+            (make_pi([1, 2]), make_pi([2]), 0, True),
+        ]
+        for x, y, lvl, clean in cases:
+            assert word_core._joins_clean(x, y, lvl) is clean
+            assert self.agrees(x, y, lvl)
+
+
+class TestCosetInvariance:
+    """``_coset_split`` picks one representative per coset, from
+    whichever member it starts, also beyond the walk's cap."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_representative_is_coset_invariant(self, variant):
+        xs = _samples(variant, 47, 48, 3)
+        gens = [g for g in xs if 1 <= g.level <= 3][:8]
+        assert len(gens) >= 6
+        for n, gen in enumerate(gens):
+            _, core = cyclic_reduce(gen)
+            p = max(1, top_letter_count(core, core.level))
+            for c in xs[3 * n:3 * n + 3]:
+                le = top_letter_count(c, core.level)
+                cap = (2 * le) // p + 4
+                r, _ = word_core._coset_split(c, gen)
+                for k in range(-cap - 5, cap + 6):
+                    member = add(c, scale(k, gen))
+                    rk, jk = word_core._coset_split(member, gen)
+                    assert rk is r, (n, k)
+                    assert add(rk, scale(jk, gen)) is member
