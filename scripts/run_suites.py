@@ -14,35 +14,15 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hnn_nearring import (  # noqa: E402
-    SampleConfig,
-    Variant,
-    check_conjugacy,
-    check_equiprime_instances_A,
-    check_invariant_subgroups,
-    check_nearring_axioms,
-    find_left_distrib_counterexample,
-    witness_nonequiprime_B,
-    witness_nonequiprime_C,
-    write_report,
-)
-
-MATRIX = [
-    ("axioms", "ABC", lambda v, c: check_nearring_axioms(v, c)),
-    ("conjugacy", "ABC", lambda v, c: check_conjugacy(v, c)),
-    ("nonequiprime", "B", lambda v, c: witness_nonequiprime_B(c)),
-    ("nonequiprime", "C", lambda v, c: witness_nonequiprime_C(c)),
-    ("equiprime", "A", lambda v, c: check_equiprime_instances_A(c)),
-    ("invariants", "BC", lambda v, c: check_invariant_subgroups(v, c)),
-    ("leftdistrib", "ABC", lambda v, c: find_left_distrib_counterexample(v, c)),
-]
+from hnn_nearring import SUITES, SampleConfig, Variant, write_report  # noqa: E402
+from hnn_nearring.cli_io import int_at_least  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--count", type=int, default=200)
-    parser.add_argument("--depth", type=int, default=3)
+    parser.add_argument("--count", type=int_at_least(1), default=200)
+    parser.add_argument("--depth", type=int_at_least(0), default=3)
     parser.add_argument("--json-dir", type=pathlib.Path)
     args = parser.parse_args()
 
@@ -51,8 +31,8 @@ def main() -> int:
         args.json_dir.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
-    for name, variants, runner in MATRIX:
-        for tag in variants:
+    for tags, runner in SUITES.values():
+        for tag in tags:
             variant = Variant(tag)
             start = time.perf_counter()
             report = runner(variant, config)

@@ -54,6 +54,7 @@ from .nearring_maps import (
 )
 from .grammar import ExprSyntaxError, elaborate, parse_element, parse_expr, render
 from .verify_suites import (
+    SUITES,
     Report,
     SampleConfig,
     check_conjugacy,

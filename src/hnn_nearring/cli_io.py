@@ -20,9 +20,7 @@ from .grammar import parse_element, render
 from .word_core import EngineError, Variant
 from .verify_suites import Report, SampleConfig
 
-__all__ = ["build_parser", "main", "run_cli", "write_report"]
-
-_SUITES = ("axioms", "conjugacy", "nonequiprime", "equiprime", "invariants", "leftdistrib")
+__all__ = ["build_parser", "int_at_least", "main", "run_cli", "write_report"]
 
 
 def write_report(report: Report) -> bytes:
@@ -41,7 +39,7 @@ def write_report(report: Report) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def _int_at_least(low: int):
+def int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
     def parse(text: str) -> int:
@@ -88,35 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a verification suite")
     add_variant(p)
-    p.add_argument("--suite", required=True, choices=_SUITES)
+    p.add_argument("--suite", required=True, choices=tuple(vs.SUITES))
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--count", type=_int_at_least(1), default=200)
-    p.add_argument("--depth", type=_int_at_least(0), default=3,
+    p.add_argument("--count", type=int_at_least(1), default=200)
+    p.add_argument("--depth", type=int_at_least(0), default=3,
                    help="maximum sampled level")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     return parser
-
-
-def _run_suite(variant: Variant, name: str, config: SampleConfig) -> Report:
-    if name == "axioms":
-        return vs.check_nearring_axioms(variant, config)
-    if name == "conjugacy":
-        return vs.check_conjugacy(variant, config)
-    if name == "nonequiprime":
-        if variant is Variant.B_FREE_BASE:
-            return vs.witness_nonequiprime_B(config)
-        if variant is Variant.C_INT_OMEGA_BASE:
-            return vs.witness_nonequiprime_C(config)
-        raise EngineError("variant A carries no non-equiprime witness; use B or C")
-    if name == "equiprime":
-        if variant is Variant.A_INT_BASE:
-            return vs.check_equiprime_instances_A(config)
-        raise EngineError("equiprime instances are checked under variant A only")
-    if name == "invariants":
-        return vs.check_invariant_subgroups(variant, config)
-    if name == "leftdistrib":
-        return vs.find_left_distrib_counterexample(variant, config)
-    raise EngineError(f"unknown suite {name!r}")
 
 
 _VALUE_OPTIONS = {"--variant", "--zeta", "--subgroup", "--suite", "--seed",
@@ -187,8 +163,12 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             print("true" if nr.in_h(zeta, x) else "false")
             return 0
         if args.command == "check":
+            tags, runner = vs.SUITES[args.suite]
+            if variant.value not in tags:
+                raise EngineError(f"suite {args.suite} runs under variant "
+                                  f"{' or '.join(tags)} only, not {variant.value}")
             config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
-            report = _run_suite(variant, args.suite, config)
+            report = runner(variant, config)
             blob = write_report(report)
             if args.json_path:
                 with open(args.json_path, "wb") as fh:

@@ -24,6 +24,7 @@ from .word_core import (
     Variant,
     WordChunk,
     WrongVariant,
+    _basis_runs,
     add,
     make_int,
     make_omega,
@@ -276,26 +277,16 @@ def _render_terms(e: Element) -> List[str]:
     if isinstance(e, IntChunk):
         return [str(e.n)]
     if isinstance(e, WordChunk):
-        out = []
-        for code in e.letters:
-            idx = abs(code) - 1
-            step = 1 if code > 0 else -1
-            if out and out[-1][0] == idx:
-                out[-1] = (idx, out[-1][1] + step)
-            else:
-                out.append((idx, step))
-        return [_scalar_text(k, f"pi({idx})") for idx, k in out]
+        return [_scalar_text(k, f"pi({idx})") for idx, k in _basis_runs(e)]
     assert isinstance(e, Seq)
     parts: List[str] = []
-    for m, (sign, lt) in enumerate(e.letters):
-        c = e.coeffs[m]
-        if c is not ZERO:
-            parts.extend(_render_terms(c))
-        body = f"t[{render(lt.alpha)},{render(lt.beta)}]"
-        parts.append(body if sign > 0 else "-" + body)
-    last = e.coeffs[-1]
-    if last is not ZERO:
-        parts.extend(_render_terms(last))
+    for it in e.items:
+        if isinstance(it, Element):
+            parts.extend(_render_terms(it))
+        else:
+            sign, lt = it
+            body = f"t[{render(lt.alpha)},{render(lt.beta)}]"
+            parts.append(body if sign > 0 else "-" + body)
     if e.omega:
         parts.append(_scalar_text(e.omega, f"om({e.level - 1})"))
     return parts

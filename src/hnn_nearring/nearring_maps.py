@@ -26,6 +26,7 @@ from .word_core import (
     WordChunk,
     WrongVariant,
     ZeroInput,
+    _basis_runs,
     _join_variants,
     add,
     cyclic_reduce,
@@ -94,14 +95,11 @@ def _mu_walk(x: Element) -> int:
         best = max(abs(c) - 1 for c in x.letters)
     else:
         best = 0
-        for m, (_sign, lt) in enumerate(x.letters):
-            c = x.coeffs[m]
-            if c is not ZERO:
-                best = max(best, _mu_walk(c))
-            best = max(best, _mu_walk(lt.alpha), _mu_walk(lt.beta))
-        last = x.coeffs[-1]
-        if last is not ZERO:
-            best = max(best, _mu_walk(last))
+        for it in x.items:
+            if isinstance(it, Element):
+                best = max(best, _mu_walk(it))
+            else:
+                best = max(best, _mu_walk(it[1].alpha), _mu_walk(it[1].beta))
     _MU_CACHE[x] = best
     return best
 
@@ -139,37 +137,22 @@ def _f_raw(zeta: Element, x: Element) -> Element:
     if isinstance(x, WordChunk):
         mz = mu(zeta)
         pieces = []
-        for idx, e in _word_syllables(x):
+        for idx, e in _basis_runs(x):
             if idx == 0:
                 pieces.append(scale(e, zeta))
             else:
                 pieces.append(make_pi([(mz + idx, e)]))
         return sum_elements(pieces)
     pieces = []
-    for m, (sign, lt) in enumerate(x.letters):
-        c = x.coeffs[m]
-        if c is not ZERO:
-            pieces.append(f_eval(zeta, c))
-        pieces.append(make_stable(f_eval(zeta, lt.alpha), f_eval(zeta, lt.beta), sign))
-    last = x.coeffs[-1]
-    if last is not ZERO:
-        pieces.append(f_eval(zeta, last))
+    for it in x.items:
+        if isinstance(it, Element):
+            pieces.append(f_eval(zeta, it))
+        else:
+            sign, lt = it
+            pieces.append(make_stable(f_eval(zeta, lt.alpha), f_eval(zeta, lt.beta), sign))
     if x.omega:
         pieces.append(make_omega(zeta.level + x.level - 1, x.omega))
     return sum_elements(pieces)
-
-
-def _word_syllables(w: WordChunk):
-    """Runs of equal basis letters as (index, signed exponent) pairs."""
-    out = []
-    for code in w.letters:
-        idx = abs(code) - 1
-        e = 1 if code > 0 else -1
-        if out and out[-1][0] == idx:
-            out[-1] = (idx, out[-1][1] + e)
-        else:
-            out.append((idx, e))
-    return out
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -240,33 +223,34 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
         # interleave at this one level; peel generators off the left
         return _peel_invert(zeta, x)
     out = ZERO
-    for m, (sign, lt) in enumerate(x.letters):
-        c = x.coeffs[m]
-        if c is not ZERO:
-            ci = _invert(zeta, c)
-            if ci is None:
-                return None
-            out = add(out, ci)
-        ai = _invert(zeta, lt.alpha)
-        bi = _invert(zeta, lt.beta)
-        if ai is None or bi is None:
+    for it in x.items:
+        if isinstance(it, Element):
+            piece = _invert(zeta, it)
+        else:
+            piece = _invert_letter(zeta, it)
+        if piece is None:
             return None
-        try:
-            out = add(out, make_stable(ai, bi, sign))
-        except DegeneratePair:
-            return None
-    last = x.coeffs[-1]
-    if last is not ZERO:
-        ci = _invert(zeta, last)
-        if ci is None:
-            return None
-        out = add(out, ci)
+        out = add(out, piece)
     if x.omega:
         oi = _invert_omega(zeta, x.level - 1, x.omega)
         if oi is None:
             return None
         out = add(out, oi)
     return out
+
+
+def _invert_letter(zeta: Element, signed) -> Optional[Element]:
+    """Inverse image of the signed letter ``(sign, t[a,b])``: the letter
+    over the inverse images of ``a`` and ``b``, if both exist and differ."""
+    sign, lt = signed
+    ai = _invert(zeta, lt.alpha)
+    bi = _invert(zeta, lt.beta)
+    if ai is None or bi is None:
+        return None
+    try:
+        return make_stable(ai, bi, sign)
+    except DegeneratePair:
+        return None
 
 
 def _peel_invert(zeta: Element, x: Element) -> Optional[Element]:
@@ -309,11 +293,11 @@ def _peel_invert(zeta: Element, x: Element) -> Optional[Element]:
 
 def _leftmost_atom(v: Element) -> Element:
     while isinstance(v, Seq):
-        head = v.coeffs[0]
-        if head is not ZERO:
-            v = head
+        first = v.items[0]
+        if isinstance(first, Element):
+            v = first
             continue
-        sign, lt = v.letters[0]
+        sign, lt = first
         return make_stable(lt.alpha, lt.beta, sign)
     if isinstance(v, WordChunk):
         code = v.letters[0]
@@ -329,15 +313,7 @@ def _invert_atom(zeta: Element, mz: int, atom: Element) -> Optional[Element]:
             return None
         return make_pi([(idx - mz, 1 if code > 0 else -1)])
     if isinstance(atom, Seq) and len(atom.letters) == 1:
-        sign, lt = atom.letters[0]
-        ai = _invert(zeta, lt.alpha)
-        bi = _invert(zeta, lt.beta)
-        if ai is None or bi is None:
-            return None
-        try:
-            return make_stable(ai, bi, sign)
-        except DegeneratePair:
-            return None
+        return _invert_letter(zeta, atom.letters[0])
     return None
 
 
@@ -426,14 +402,17 @@ def in_w(x: Element) -> bool:
 
 
 def _w_walk(x: Element) -> bool:
-    if x is ZERO:
-        return True
+    # recurse through plain loops: a generator frame per level would
+    # lower the nesting limit
     if isinstance(x, WordChunk):
         return all(abs(c) >= 2 for c in x.letters)
-    for m, (_sign, lt) in enumerate(x.letters):
-        if not (_w_walk(x.coeffs[m]) and _w_walk(lt.alpha) and _w_walk(lt.beta)):
+    for it in x.items:
+        if isinstance(it, Element):
+            if not _w_walk(it):
+                return False
+        elif not (_w_walk(it[1].alpha) and _w_walk(it[1].beta)):
             return False
-    return _w_walk(x.coeffs[-1])
+    return True
 
 
 def in_h(zeta: Element, x: Element) -> bool:

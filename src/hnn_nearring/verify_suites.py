@@ -5,7 +5,9 @@ checks one family of desk-checkable claims (nearring axioms, universal
 conjugacy, the non-equiprime witnesses, equiprime instances, invariant
 subgroup closure, failure of left distributivity) and returns a
 machine-readable ``Report``.  Identical configs produce identical
-reports; cases are evaluated in stream order.
+reports; cases are evaluated in stream order.  ``SUITES`` names every
+suite and the variants it runs under, for the command line and the
+scripts.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .word_core import ZERO, Element, Variant
 
 __all__ = [
     "Report",
+    "SUITES",
     "SampleConfig",
     "check_conjugacy",
     "check_equiprime_instances_A",
@@ -427,3 +430,23 @@ def find_left_distrib_counterexample(variant: Variant, config: SampleConfig) -> 
             return rep
     rep.record(("<stream>",), "a left-distributivity counterexample", "none found")
     return rep
+
+
+def _witness_nonequiprime(variant: Variant, config: SampleConfig) -> Report:
+    if variant is Variant.B_FREE_BASE:
+        return witness_nonequiprime_B(config)
+    return witness_nonequiprime_C(config)
+
+
+#: suite name -> (tags of the variants it runs under, runner taking the
+#: variant and the config), in the order the scripts run and report them.
+#: Runners look the suite function up when called, so a wrapped module
+#: attribute is what runs.
+SUITES = {
+    "axioms": ("ABC", lambda v, c: check_nearring_axioms(v, c)),
+    "conjugacy": ("ABC", lambda v, c: check_conjugacy(v, c)),
+    "nonequiprime": ("BC", lambda v, c: _witness_nonequiprime(v, c)),
+    "equiprime": ("A", lambda v, c: check_equiprime_instances_A(c)),
+    "invariants": ("BC", lambda v, c: check_invariant_subgroups(v, c)),
+    "leftdistrib": ("ABC", lambda v, c: find_left_distrib_counterexample(v, c)),
+}

@@ -7,12 +7,16 @@ distinct nonzero elements already present, subject to the single relation
 ``-t[a,b] + a + t[a,b] = b``.  Iterating forever yields a group in which
 any two distinct nonzero elements are conjugate.
 
-Elements are immutable, interned, and always canonical: alternating
-coefficient/letter sequences that are pinch free and whose coefficient in
-front of each letter is a fixed representative of the coset of the cyclic
-subgroup attached to that letter.  Structural equality of canonical forms
-is therefore equality in the group.  The group law is written additively
-throughout even though the group is highly nonabelian.
+Elements are immutable, interned, and always canonical: each element
+above the base is stored as its syllable stream in Britton normal form
+(Lyndon & Schupp, *Combinatorial Group Theory*, ch. IV), lower-level
+coefficients alternating with signed stable letters, pinch free, with
+the coefficient in front of each letter a fixed representative of the
+coset of the cyclic subgroup attached to that letter.  Structural
+equality of canonical forms is therefore equality in the group.  Every
+walk over an element iterates that one stored stream.  The group law is
+written additively throughout even though the group is highly
+nonabelian.
 
 Because every element and letter is interned, identity is equality is
 the hash: elements and letters define neither ``__eq__`` nor
@@ -211,9 +215,14 @@ SignedLetter = Tuple[int, StableLetter]
 
 
 class Seq(Element):
-    """Leveled alternating sequence ``c0 s1 c1 ... sk ck`` plus, under
-    variant C, an integer coefficient of the central generator of this
-    level (kept rightmost).
+    """Leveled syllable stream ``c0 s1 c1 ... sk ck`` plus, under variant
+    C, an integer coefficient of the central generator of this level
+    (kept rightmost).
+
+    ``items`` is the stream itself: the nonzero coefficients (elements of
+    lower level) and the signed letters ``(sign, StableLetter)`` in order,
+    zero coefficients left out.  ``letters`` holds the same letter pairs
+    without the coefficients.
 
     Invariants (enforced by the normalizer, assumed everywhere else):
     letters all have letter level equal to ``level``; coefficients live
@@ -222,33 +231,33 @@ class Seq(Element):
     ``omega`` nonzero.
     """
 
-    __slots__ = ("level", "variant", "coeffs", "letters", "omega", "_sz", "_rp")
+    __slots__ = ("level", "variant", "items", "letters", "omega", "_sz", "_rp")
 
-    def __init__(self, lvl, variant, coeffs, letters, omega):
+    def __init__(self, lvl, variant, items, omega):
         self.level = lvl
         self.variant = variant
-        self.coeffs = coeffs
-        self.letters = letters
+        self.items = items
         self.omega = omega
+        letters = []
         sz = abs(omega)
-        for c in coeffs:
-            sz += c._size()
-        for sign, lt in letters:
-            sz += lt._sz
+        for it in items:
+            if isinstance(it, Element):
+                sz += it._size()
+            else:
+                letters.append(it)
+                sz += it[1]._sz
+        self.letters = tuple(letters)
         self._sz = sz
         self._rp = None
 
     def __repr__(self):
         if self._rp is None:
             parts = []
-            for m, (sign, lt) in enumerate(self.letters):
-                c = self.coeffs[m]
-                if c is not ZERO:
-                    parts.append(repr(c))
-                parts.append(("" if sign > 0 else "-") + repr(lt))
-            last = self.coeffs[-1]
-            if last is not ZERO:
-                parts.append(repr(last))
+            for it in self.items:
+                if isinstance(it, Element):
+                    parts.append(repr(it))
+                else:
+                    parts.append(("" if it[0] > 0 else "-") + repr(it[1]))
             if self.omega:
                 parts.append(f"{self.omega}w{self.level - 1}")
             self._rp = "{" + "+".join(parts) + "}"
@@ -291,11 +300,11 @@ def _intern_letter(alpha, beta):
     return lt
 
 
-def _intern_seq(lvl, variant, coeffs, letters, omega):
-    key = (lvl, variant, coeffs, letters, omega)
+def _intern_seq(lvl, variant, items, omega):
+    key = (lvl, variant, items, omega)
     el = _SEQ_CACHE.get(key)
     if el is None:
-        el = _SEQ_CACHE.setdefault(key, Seq(lvl, variant, coeffs, letters, omega))
+        el = _SEQ_CACHE.setdefault(key, Seq(lvl, variant, items, omega))
     return el
 
 
@@ -340,7 +349,7 @@ def make_omega(j: int, m: int = 1) -> Element:
         raise WrongVariant("omega indices are natural numbers")
     if m == 0:
         return ZERO
-    return _intern_seq(j + 1, Variant.C_INT_OMEGA_BASE, (ZERO,), (), m)
+    return _intern_seq(j + 1, Variant.C_INT_OMEGA_BASE, (), m)
 
 
 def make_stable(alpha: Element, beta: Element, sign: int = 1) -> Element:
@@ -348,7 +357,7 @@ def make_stable(alpha: Element, beta: Element, sign: int = 1) -> Element:
     lt = _letter(alpha, beta)
     if sign not in (1, -1):
         raise EngineError("letter sign must be +1 or -1")
-    return _intern_seq(lt.level, lt.variant, (ZERO, ZERO), ((sign, lt),), 0)
+    return _intern_seq(lt.level, lt.variant, ((sign, lt),), 0)
 
 
 def _letter(alpha: Element, beta: Element) -> StableLetter:
@@ -358,10 +367,6 @@ def _letter(alpha: Element, beta: Element) -> StableLetter:
         raise DegeneratePair("letter subscripts must be distinct")
     _join_variants(alpha.variant, beta.variant)
     return _intern_letter(alpha, beta)
-
-
-def _signed_letter_element(sign: int, lt: StableLetter) -> Element:
-    return _intern_seq(lt.level, lt.variant, (ZERO, ZERO), ((sign, lt),), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +391,19 @@ def _word_from(codes) -> Element:
 
 def _word_neg(w: WordChunk) -> Element:
     return _intern_word(tuple(-c for c in reversed(w.letters)))
+
+
+def _basis_runs(w: WordChunk):
+    """Runs of equal basis letters as (index, signed exponent) pairs."""
+    out = []
+    for code in w.letters:
+        idx = abs(code) - 1
+        e = 1 if code > 0 else -1
+        if out and out[-1][0] == idx:
+            out[-1] = (idx, out[-1][1] + e)
+        else:
+            out.append((idx, e))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +447,34 @@ def conjugator(alpha: Element, beta: Element) -> Element:
 def _items_of(x: Element, lvl: int):
     """Syllable stream of ``x`` viewed inside stage ``lvl`` plus its
     central coefficient at that stage."""
-    if x is ZERO:
-        return [], 0
     if x.level < lvl:
-        return [x], 0
-    items = []
-    for m, sl in enumerate(x.letters):
-        c = x.coeffs[m]
-        if c is not ZERO:
-            items.append(c)
-        items.append(sl)
-    last = x.coeffs[-1]
-    if last is not ZERO:
-        items.append(last)
-    return items, x.omega
+        return (x,), 0
+    return x.items, x.omega
+
+
+def _head(x: Seq) -> Element:
+    """The coefficient in front of the first letter of ``x``, zero if none
+    (the whole stream when ``x`` has no letter)."""
+    first = x.items[0] if x.items else ZERO
+    return first if isinstance(first, Element) else ZERO
+
+
+def _tail(x: Seq) -> Element:
+    """The coefficient after the last letter of ``x``, zero if none."""
+    last = x.items[-1] if x.items else ZERO
+    return last if isinstance(last, Element) else ZERO
+
+
+def _neg_items(x: Seq) -> list:
+    """The syllable stream of ``-x``: the stream of ``x`` reversed with
+    every coefficient and letter inverted."""
+    rev = []
+    for it in reversed(x.items):
+        if isinstance(it, Element):
+            rev.append(neg(it))
+        else:
+            rev.append((-it[0], it[1]))
+    return rev
 
 
 def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
@@ -454,10 +486,13 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
     through the letter (changing generator), and a letter meeting its
     inverse across a coefficient that lies entirely in the subgroup is
     cancelled as a pinch.  Cancellations cascade through the stack.
+
+    The stack is the output stream: it always ends in a letter (or is
+    empty) while ``acc`` gathers the coefficient after it, and a pinch
+    pops that letter, then the coefficient in front of it.
     """
     acc = ZERO
-    coeffs = []  # coset representative in front of letters[m]
-    letters = []
+    out = []
     for it in items:
         if isinstance(it, Element):
             if it is not ZERO:
@@ -467,17 +502,20 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
         gen_in = lt.alpha if sign > 0 else lt.beta
         gen_out = lt.beta if sign > 0 else lt.alpha
         r, j = _coset_split(acc, gen_in)
-        if r is ZERO and letters and letters[-1][1] is lt and letters[-1][0] == -sign:
-            letters.pop()
-            acc = add(coeffs.pop(), scale(j, gen_out))
+        if r is ZERO and out and out[-1][1] is lt and out[-1][0] == -sign:
+            out.pop()
+            c = out.pop() if out and isinstance(out[-1], Element) else ZERO
+            acc = add(c, scale(j, gen_out))
         else:
-            coeffs.append(r)
-            letters.append(it)
+            if r is not ZERO:
+                out.append(r)
+            out.append(it)
             acc = scale(j, gen_out)
-    if not letters and omega == 0:
+    if not out and omega == 0:
         return acc
-    coeffs.append(acc)
-    return _intern_seq(lvl, variant, tuple(coeffs), tuple(letters), omega)
+    if acc is not ZERO:
+        out.append(acc)
+    return _intern_seq(lvl, variant, tuple(out), omega)
 
 
 _ADD_CACHE: dict = {}
@@ -524,18 +562,7 @@ def neg(a: Element) -> Element:
         return _intern_int(-a.n, a.variant)
     if isinstance(a, WordChunk):
         return _word_neg(a)
-    items = []
-    k = len(a.letters)
-    last = a.coeffs[-1]
-    if last is not ZERO:
-        items.append(neg(last))
-    for m in range(k - 1, -1, -1):
-        sign, lt = a.letters[m]
-        items.append((-sign, lt))
-        c = a.coeffs[m]
-        if c is not ZERO:
-            items.append(neg(c))
-    return _assemble(a.level, items, -a.omega, a.variant)
+    return _assemble(a.level, _neg_items(a), -a.omega, a.variant)
 
 
 _MATERIALIZE_LIMIT = 2_000_000
@@ -561,21 +588,8 @@ def scale(k: int, a: Element) -> Element:
         letters = core.letters if k > 0 else tuple(-c for c in reversed(core.letters))
         kc = _intern_word(letters * abs(k))
     else:
-        single, om = _items_of(core, core.level)
-        if k < 0:
-            rev = []
-            kk = len(core.letters)
-            last = core.coeffs[-1]
-            if last is not ZERO:
-                rev.append(neg(last))
-            for m in range(kk - 1, -1, -1):
-                sign, lt = core.letters[m]
-                rev.append((-sign, lt))
-                c = core.coeffs[m]
-                if c is not ZERO:
-                    rev.append(neg(c))
-            single = rev
-        kc = _assemble(core.level, single * abs(k), k * om, core.variant)
+        single = core.items if k > 0 else _neg_items(core)
+        kc = _assemble(core.level, single * abs(k), k * core.omega, core.variant)
     if d is ZERO:
         return kc
     return add(add(neg(d), kc), d)
@@ -592,14 +606,12 @@ def renormalize(a: Element) -> Element:
     if isinstance(a, WordChunk):
         return make_pi([(abs(c) - 1, 1 if c > 0 else -1) for c in a.letters])
     out = ZERO
-    for m, (sign, lt) in enumerate(a.letters):
-        c = a.coeffs[m]
-        if c is not ZERO:
-            out = add(out, renormalize(c))
-        out = add(out, make_stable(renormalize(lt.alpha), renormalize(lt.beta), sign))
-    last = a.coeffs[-1]
-    if last is not ZERO:
-        out = add(out, renormalize(last))
+    for it in a.items:
+        if isinstance(it, Element):
+            out = add(out, renormalize(it))
+        else:
+            sign, lt = it
+            out = add(out, make_stable(renormalize(lt.alpha), renormalize(lt.beta), sign))
     if a.omega:
         out = add(out, make_omega(a.level - 1, a.omega))
     return out
@@ -636,15 +648,12 @@ def cyclic_reduce(a: Element):
             break
         if _joins_clean(cur, cur, cur.level):
             break
-        c0 = cur.coeffs[0]
-        if c0 is not ZERO:
-            cur = add(add(neg(c0), cur), c0)
-            d = add(neg(c0), d)
-        else:
+        first = _head(cur)
+        if first is ZERO:
             sign, lt = cur.letters[0]
-            s_el = _signed_letter_element(sign, lt)
-            cur = add(add(neg(s_el), cur), s_el)
-            d = add(neg(s_el), d)
+            first = make_stable(lt.alpha, lt.beta, sign)
+        cur = add(add(neg(first), cur), first)
+        d = add(neg(first), d)
     res = (d, cur)
     _CYCLIC_CACHE[a] = res
     return res
@@ -690,7 +699,7 @@ def _rep_shift(e: Element, a: Element) -> int:
         return 0
     if e.level > a.level:
         # a merges into the trailing coefficient, which no letter guards
-        return _rep_shift(e.coeffs[-1], a)
+        return _rep_shift(_tail(e), a)
     if isinstance(a, IntChunk):
         ev = e.n
         r0 = ev % abs(a.n)
@@ -701,7 +710,7 @@ def _rep_shift(e: Element, a: Element) -> int:
     # a is a Seq
     p = len(a.letters)
     if a.variant is Variant.C_INT_OMEGA_BASE and p == 0:
-        a_k = a.coeffs[0]
+        a_k = _head(a)
         if isinstance(e, Seq) and e.level == a.level:
             e_k, e_m = _k_part(e), e.omega
         else:
@@ -716,10 +725,10 @@ def _rep_shift(e: Element, a: Element) -> int:
 
 def _k_part(e: Seq) -> Element:
     if len(e.letters) == 0:
-        return e.coeffs[0]
+        return _head(e)
     if e.omega == 0:
         return e
-    return _intern_seq(e.level, e.variant, e.coeffs, e.letters, 0)
+    return _intern_seq(e.level, e.variant, e.items, 0)
 
 
 def _walk_argmin(e: Element, a: Element, le: int, p: int) -> int:
@@ -774,7 +783,7 @@ def _joins_clean(x: Element, y: Element, lvl: int) -> bool:
     if x.letters[-1] != (-sign, lt):
         return True
     gen_in = lt.alpha if sign > 0 else lt.beta
-    return _coset_split(add(x.coeffs[-1], y.coeffs[0]), gen_in)[0] is not ZERO
+    return _coset_split(add(_tail(x), _head(y)), gen_in)[0] is not ZERO
 
 
 def _metric(x: Element, lvl: int) -> int:
@@ -839,10 +848,10 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
         return None
     p = len(a.letters)
     if p == 0:
-        a_k, a_m = a.coeffs[0], a.omega
+        a_k, a_m = _head(a), a.omega
         if len(h.letters) != 0:
             return None
-        h_k, h_m = h.coeffs[0], h.omega
+        h_k, h_m = _head(h), h.omega
         if a_k is ZERO:
             if h_k is not ZERO:
                 return None

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from hnn_nearring import SampleConfig, Variant, write_report
+from hnn_nearring import SUITES, SampleConfig, Variant, write_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -35,9 +35,9 @@ def _load_script(name):
 run_suites = _load_script("run_suites")
 write_normal_forms = _load_script("write_normal_forms")
 
-#: every (suite, variant) pair of the script's matrix, with its runner
+#: every (suite, variant) pair of the suite registry, with its runner
 PAIRS = [pytest.param(runner, tag, id=f"{name}-{tag}")
-         for name, tags, runner in run_suites.MATRIX for tag in tags]
+         for name, (tags, runner) in SUITES.items() for tag in tags]
 
 
 @pytest.mark.parametrize("runner, tag", PAIRS)
@@ -66,3 +66,14 @@ def test_run_suites_times_on_stderr_only():
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
     assert "cases/s" not in proc.stdout
     assert len([ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]) == len(PAIRS)
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--depth", "-1")])
+def test_run_suites_rejects_out_of_range_sizes(flag, value, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", flag, value])
+    with pytest.raises(SystemExit) as exc:
+        run_suites.main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: must be at least" in captured.err

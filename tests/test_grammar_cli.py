@@ -33,11 +33,11 @@ B = Variant.B_FREE_BASE
 C = Variant.C_INT_OMEGA_BASE
 
 
-def _tower(levels):
-    """``t[...t[t[1,2],2]...,2]``, nested ``levels`` letters deep."""
-    text = "t[1,2]"
+def _tower(levels, a="1", b="2"):
+    """``t[...t[t[a,b],b]...,b]``, nested ``levels`` letters deep."""
+    text = f"t[{a},{b}]"
     for _ in range(levels - 1):
-        text = f"t[{text},2]"
+        text = f"t[{text},{b}]"
     return text
 
 
@@ -186,9 +186,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: expression nested too deeply\n"
 
-    def test_moderate_nesting_evaluates(self, capsys):
-        assert run_cli(["eval", "--variant", "A", _tower(200)]) == 0
-        assert capsys.readouterr().out.strip() == _tower(200)
+    @pytest.mark.parametrize("args, out", [
+        (["eval", "--variant", "A", _tower(450)], _tower(450)),
+        (["apply", "--variant", "A", "--zeta=" + _tower(200), _tower(200)], None),
+        (["member", "--variant", "B", "--subgroup", "W", _tower(450, "pi(1)", "pi(2)")],
+         "true"),
+    ], ids=["eval-450", "apply-200", "member-W-450"])
+    def test_moderate_nesting_evaluates(self, args, out, capsys):
+        # the nesting the README promises; a walk that recurses through a
+        # generator frame per level (say all(...) in _w_walk) fails here
+        assert run_cli(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if out is not None:
+            assert captured.out.strip() == out
+
+    @pytest.mark.parametrize("suite, tag, supported", [
+        ("nonequiprime", "A", "B or C"), ("equiprime", "B", "A"),
+        ("equiprime", "C", "A"), ("invariants", "A", "B or C"),
+    ])
+    def test_check_rejects_unsupported_variant(self, suite, tag, supported, capsys):
+        assert run_cli(["check", "--variant", tag, "--suite", suite, "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: suite {suite} runs under variant {supported} "
+                                f"only, not {tag}\n")
 
     def test_usage_errors(self):
         assert run_cli(["eval", "--variant", "A", "om(0)"]) == 2

@@ -24,6 +24,7 @@ from hnn_nearring import (
     mu,
     mul,
     neg,
+    parse_element,
     preimage,
     preimage_detail,
     scale,
@@ -259,3 +260,24 @@ class TestWitnessValues:
         x = make_stable(one, neg(one))
         a, b, c = one, make_int(2, A), make_int(3, A)
         assert mul(mul(a, x), b) is not mul(mul(a, x), c)
+
+
+class TestKnownFaults:
+    """Faults recorded as FOUND lines in CHANGES.md, pinned so that the
+    change that mends one sees its test pass (strict xfail) and flips it."""
+
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: _f_raw sends om(j) to "
+                       "om(level(zeta) + j), so the product is not associative under C")
+    def test_omega_product_associates(self):
+        c = parse_element("-t[2,-2] + 1 + t[2,-2] + 6", C)
+        om3, four = make_omega(3, 1), make_int(4, C)
+        assert mul(mul(om3, four), c) is mul(om3, mul(four, c))
+
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: preimage gives no_parse "
+                       "when an image merges zeta-blocks with the integers beside them")
+    @pytest.mark.parametrize("variant", [A, C], ids=["A", "C"])
+    def test_preimage_inverts_merged_blocks(self, variant):
+        x = parse_element("t[-3,3] + -t[2,-2] + 5", variant)
+        z = parse_element("t[-2,2] + 1 + -t[-2,2]", variant)
+        detail = preimage_detail(z, f_eval(z, x))
+        assert (detail.reason, detail.element) == ("ok", x)
