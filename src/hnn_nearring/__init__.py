@@ -52,7 +52,7 @@ from .nearring_maps import (
     preimage,
     preimage_detail,
 )
-from .grammar import ExprSyntaxError, elaborate, parse_element, parse_expr, render
+from .grammar import ExprSyntaxError, parse_element, render
 from .verify_suites import (
     SUITES,
     Report,

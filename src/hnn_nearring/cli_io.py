@@ -157,9 +157,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             elif variant is Variant.C_INT_OMEGA_BASE:
                 zeta = parse_element("om(0)", variant)
             else:
-                print("member --subgroup H needs --zeta under this variant",
-                      file=sys.stderr)
-                return 2
+                raise EngineError("member --subgroup H needs --zeta under this variant")
             print("true" if nr.in_h(zeta, x) else "false")
             return 0
         if args.command == "check":
@@ -187,7 +185,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # parser, engine and renderer recurse per letter level
+        # the inverse-image search and the engine's add and coset walk
+        # still recurse per letter level
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
     parser.error(f"unhandled command {args.command}")

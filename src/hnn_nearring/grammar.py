@@ -5,22 +5,24 @@
             | 't' '[' expr ',' expr ']' | '-' term | INT '*' term | '(' expr ')'
 
 ``INT * term`` is the group scalar multiple (repeated addition), not the
-nearring product.  Rendering is deterministic and canonical: parsing a
-rendered element elaborates back to the identical canonical value.
+nearring product.  The parser folds text straight into canonical
+elements; no syntax tree is kept.  Rendering is deterministic and
+canonical: parsing a rendered element gives back the identical value.
+Both walk nested letters on explicit stacks, so nesting depth is not
+bounded by Python's recursion limit, and rendering refuses text longer
+than ``_RENDER_LIMIT``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Optional
 
 from .word_core import (
     ZERO,
     Element,
     EngineError,
     IntChunk,
-    Seq,
     Variant,
     WordChunk,
     WrongVariant,
@@ -34,20 +36,7 @@ from .word_core import (
     scale,
 )
 
-__all__ = [
-    "ExprSyntaxError",
-    "LetterAtom",
-    "Neg",
-    "Num",
-    "OmAtom",
-    "PiAtom",
-    "Scalar",
-    "Sum",
-    "elaborate",
-    "parse_element",
-    "parse_expr",
-    "render",
-]
+__all__ = ["ExprSyntaxError", "parse_element", "render"]
 
 
 class ExprSyntaxError(EngineError):
@@ -56,51 +45,6 @@ class ExprSyntaxError(EngineError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class PiAtom:
-    index: int
-
-
-@dataclass(frozen=True)
-class OmAtom:
-    index: int
-
-
-@dataclass(frozen=True)
-class LetterAtom:
-    alpha: "Node"
-    beta: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    term: "Node"
-
-
-@dataclass(frozen=True)
-class Scalar:
-    factor: int
-    term: "Node"
-
-
-@dataclass(frozen=True)
-class Sum:
-    head: "Node"
-    tail: Tuple[Tuple[str, "Node"], ...]  # ('+' | '-', term)
-
-
-Node = Union[Num, PiAtom, OmAtom, LetterAtom, Neg, Scalar, Sum]
 
 
 # ---------------------------------------------------------------------------
@@ -132,137 +76,153 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, variant: Variant):
-        self.text = text
-        self.variant = variant
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {tok[0]}", tok[2])
-        self.i += 1
-        return tok
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self) -> Node:
-        head = self.term()
-        tail = []
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            tail.append((op, self.term()))
-        if not tail:
-            return head
-        return Sum(head, tuple(tail))
-
-    def term(self) -> Node:
-        kind, value, pos = self.peek()
-        if kind == "-":
-            self.take()
-            if self.peek()[0] == "NAT":
-                return self._number(-self.take()[1], pos)
-            return Neg(self.term())
-        if kind == "NAT":
-            self.take()
-            return self._number(value, pos)
-        if kind == "NAME":
-            self.take()
-            if value == "pi":
-                if self.variant is not Variant.B_FREE_BASE:
-                    raise WrongVariant(
-                        f"pi(...) is not available under variant {self.variant.value}")
-                self.take("(")
-                idx = self.take("NAT")[1]
-                self.take(")")
-                return PiAtom(idx)
-            if value == "om":
-                if self.variant is not Variant.C_INT_OMEGA_BASE:
-                    raise WrongVariant(
-                        f"om(...) is not available under variant {self.variant.value}")
-                self.take("(")
-                idx = self.take("NAT")[1]
-                self.take(")")
-                return OmAtom(idx)
-            if value == "t":
-                self.take("[")
-                a = self.expr()
-                self.take(",")
-                b = self.expr()
-                self.take("]")
-                return LetterAtom(a, b)
-            raise ExprSyntaxError(f"unknown name {value!r}", pos)
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ExprSyntaxError(f"expected a term, found {kind}", pos)
-
-    def _number(self, n: int, pos: int) -> Node:
-        if self.peek()[0] == "*":
-            self.take()
-            return Scalar(n, self.term())
-        if self.variant is Variant.B_FREE_BASE and n != 0:
-            raise WrongVariant("bare integers are not elements of the free-base tower")
-        return Num(n)
+def _expect(tok, kind: str):
+    if tok[0] != kind:
+        raise ExprSyntaxError(f"expected {kind}, found {tok[0]}", tok[2])
+    return tok[1]
 
 
-def parse_expr(text: str, variant: Variant) -> Node:
-    """Parse ``text`` under the grammar, validating variant-restricted
-    atoms eagerly."""
-    return _Parser(text, variant).parse()
+class _OpenSum:
+    """A sum the parser is inside: the token that closes it, the terms
+    folded so far, the sign of the next term, the prefixes read in front
+    of that term (None for ``-``, the factor for ``INT *``) and, in the
+    second subscript of ``t[a,b]``, the finished ``a``."""
 
+    __slots__ = ("closer", "total", "sign", "prefixes", "alpha")
 
-def elaborate(node: Node, variant: Variant) -> Element:
-    """Evaluate an AST into a canonical element."""
-    if isinstance(node, Num):
-        if node.value == 0:
-            return ZERO
-        return make_int(node.value, variant)
-    if isinstance(node, PiAtom):
-        return make_pi([node.index])
-    if isinstance(node, OmAtom):
-        return make_omega(node.index, 1)
-    if isinstance(node, LetterAtom):
-        return make_stable(elaborate(node.alpha, variant), elaborate(node.beta, variant), 1)
-    if isinstance(node, Neg):
-        return neg(elaborate(node.term, variant))
-    if isinstance(node, Scalar):
-        return scale(node.factor, elaborate(node.term, variant))
-    if isinstance(node, Sum):
-        out = elaborate(node.head, variant)
-        for op, term in node.tail:
-            piece = elaborate(term, variant)
-            out = add(out, piece if op == "+" else neg(piece))
-        return out
-    raise EngineError(f"unknown AST node {node!r}")
+    def __init__(self, closer: str, alpha: Optional[Element] = None):
+        self.closer = closer
+        self.total = ZERO
+        self.sign = 1
+        self.prefixes: List[Optional[int]] = []
+        self.alpha = alpha
 
 
 def parse_element(text: str, variant: Variant) -> Element:
-    return elaborate(parse_expr(text, variant), variant)
+    """Parse ``text`` under the grammar above into its canonical element.
+
+    One loop over the tokens with an explicit stack of open sums, so
+    nesting costs no Python frames: ``(`` and ``t[`` open a sum, ``)``,
+    ``,`` and ``]`` close one.  A finished term takes its prefixes,
+    innermost first, and is folded into its sum left to right.
+    Variant-restricted atoms are rejected as they are read."""
+    tokens = _tokenize(text)
+    i = 0
+    top = _OpenSum("END")
+    stack: List[_OpenSum] = []
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "-":
+            if tokens[i][0] != "NAT":
+                top.prefixes.append(None)
+                continue
+            kind, value = "NAT", -tokens[i][1]
+            i += 1
+        if kind == "NAT":
+            if tokens[i][0] == "*":
+                i += 1
+                top.prefixes.append(value)
+                continue
+            if variant is Variant.B_FREE_BASE and value != 0:
+                raise WrongVariant("bare integers are not elements of the free-base tower")
+            term = make_int(value, variant) if value else ZERO
+        elif kind == "NAME" and value in ("pi", "om"):
+            allowed = Variant.B_FREE_BASE if value == "pi" else Variant.C_INT_OMEGA_BASE
+            if variant is not allowed:
+                raise WrongVariant(
+                    f"{value}(...) is not available under variant {variant.value}")
+            _expect(tokens[i], "(")
+            idx = _expect(tokens[i + 1], "NAT")
+            _expect(tokens[i + 2], ")")
+            i += 3
+            term = make_pi([idx]) if value == "pi" else make_omega(idx, 1)
+        elif kind == "NAME" and value == "t":
+            _expect(tokens[i], "[")
+            i += 1
+            stack.append(top)
+            top = _OpenSum(",")
+            continue
+        elif kind == "NAME":
+            raise ExprSyntaxError(f"unknown name {value!r}", pos)
+        elif kind == "(":
+            stack.append(top)
+            top = _OpenSum(")")
+            continue
+        else:
+            raise ExprSyntaxError(f"expected a term, found {kind}", pos)
+        # fold the finished term, then close every sum that ends after it
+        while True:
+            for factor in reversed(top.prefixes):
+                term = neg(term) if factor is None else scale(factor, term)
+            top.prefixes.clear()
+            top.total = add(top.total, term if top.sign > 0 else neg(term))
+            kind, value, pos = tokens[i]
+            if kind in ("+", "-"):
+                top.sign = 1 if kind == "+" else -1
+                i += 1
+                break
+            if kind != top.closer:
+                if top.closer == "END":
+                    raise ExprSyntaxError(f"trailing input {value!r}", pos)
+                raise ExprSyntaxError(f"expected {top.closer}, found {kind}", pos)
+            if kind == "END":
+                return top.total
+            i += 1
+            if kind == ",":
+                top = _OpenSum("]", top.total)
+                break
+            term = top.total if kind == ")" else make_stable(top.alpha, top.total, 1)
+            top = stack.pop()
 
 
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
 
+#: longest text ``render`` emits; each letter level of a self-similar
+#: tower doubles its text while the element stays a small shared DAG
+_RENDER_LIMIT = 1_000_000
+
+
 def render(e: Element) -> str:
     """Deterministic canonical text in the grammar above; parsing it
-    elaborates back to ``e``."""
+    gives back ``e``.
+
+    An explicit stack stands in for recursion.  It holds literal text
+    and the pieces still to expand: elements, whose terms join the
+    current sum, and signed letters.  A sum's terms are separated by
+    ``" + "`` at every level, so no piece needs to know its place."""
     if e is ZERO:
         return "0"
-    return " + ".join(_render_terms(e))
+    out: List[str] = []
+    length = 0
+    todo: list = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            text = x
+        elif isinstance(x, tuple):  # a signed letter
+            sign, lt = x
+            todo += ("]", lt.beta, ",", lt.alpha)
+            text = "t[" if sign > 0 else "-t["
+        elif isinstance(x, IntChunk):
+            text = str(x.n)
+        elif isinstance(x, WordChunk):
+            text = " + ".join(_scalar_text(k, f"pi({idx})") for idx, k in _basis_runs(x))
+        else:  # a Seq
+            parts = list(x.items)
+            if x.omega:
+                parts.append(_scalar_text(x.omega, f"om({x.level - 1})"))
+            todo.append(parts.pop())
+            while parts:
+                todo += (" + ", parts.pop())
+            continue
+        out.append(text)
+        length += len(text)
+        if length > _RENDER_LIMIT:
+            raise EngineError(f"refusing to render more than {_RENDER_LIMIT} characters")
+    return "".join(out)
 
 
 def _scalar_text(k: int, atom: str) -> str:
@@ -271,22 +231,3 @@ def _scalar_text(k: int, atom: str) -> str:
     if k == -1:
         return "-" + atom
     return f"{k}*{atom}"
-
-
-def _render_terms(e: Element) -> List[str]:
-    if isinstance(e, IntChunk):
-        return [str(e.n)]
-    if isinstance(e, WordChunk):
-        return [_scalar_text(k, f"pi({idx})") for idx, k in _basis_runs(e)]
-    assert isinstance(e, Seq)
-    parts: List[str] = []
-    for it in e.items:
-        if isinstance(it, Element):
-            parts.extend(_render_terms(it))
-        else:
-            sign, lt = it
-            body = f"t[{render(lt.alpha)},{render(lt.beta)}]"
-            parts.append(body if sign > 0 else "-" + body)
-    if e.omega:
-        parts.append(_scalar_text(e.omega, f"om({e.level - 1})"))
-    return parts

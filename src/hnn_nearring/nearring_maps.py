@@ -13,7 +13,7 @@ the embedding attached to an image, which is associativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .word_core import (
     ZERO,
@@ -27,6 +27,7 @@ from .word_core import (
     WrongVariant,
     ZeroInput,
     _basis_runs,
+    _fold,
     _join_variants,
     add,
     cyclic_reduce,
@@ -72,7 +73,26 @@ def identity_element(variant: Variant) -> Element:
 # The basis offset of variant B
 # ---------------------------------------------------------------------------
 
-_MU_CACHE: dict = {}
+#: nonzero x -> lowest and highest basis index in the hereditary support
+#: of x (base chunks plus, at every level, letter subscripts), filled by
+#: ``_fold(x, _SPAN_CACHE, _word_span, _join_spans)``
+_SPAN_CACHE: dict = {}
+
+
+def _word_span(w: WordChunk) -> Tuple[int, int]:
+    indices = [abs(c) - 1 for c in w.letters]
+    return min(indices), max(indices)
+
+
+def _join_spans(x: Seq, spans: dict) -> Tuple[int, int]:
+    kids = []
+    for it in x.items:
+        if isinstance(it, Element):
+            kids.append(spans[it])
+        else:
+            kids += spans[it[1].alpha], spans[it[1].beta]
+    los, his = zip(*kids)
+    return min(los), max(his)
 
 
 def mu(gamma: Element) -> int:
@@ -84,30 +104,14 @@ def mu(gamma: Element) -> int:
         raise ZeroInput("the basis offset is defined for nonzero elements")
     if gamma.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("the basis offset belongs to the free-base tower")
-    return _mu_walk(gamma)
-
-
-def _mu_walk(x: Element) -> int:
-    hit = _MU_CACHE.get(x)
-    if hit is not None:
-        return hit
-    if isinstance(x, WordChunk):
-        best = max(abs(c) - 1 for c in x.letters)
-    else:
-        best = 0
-        for it in x.items:
-            if isinstance(it, Element):
-                best = max(best, _mu_walk(it))
-            else:
-                best = max(best, _mu_walk(it[1].alpha), _mu_walk(it[1].beta))
-    _MU_CACHE[x] = best
-    return best
+    return _fold(gamma, _SPAN_CACHE, _word_span, _join_spans)[1]
 
 
 # ---------------------------------------------------------------------------
 # The embeddings
 # ---------------------------------------------------------------------------
 
+#: zeta -> {x: image of x under the embedding attached to zeta}
 _F_CACHE: dict = {}
 
 
@@ -124,35 +128,27 @@ def f_eval(zeta: Element, x: Element) -> Element:
     _join_variants(zeta.variant, x.variant)
     if x is ZERO:
         return ZERO
-    key = (zeta, x)
-    hit = _F_CACHE.get(key)
-    if hit is None:
-        hit = _F_CACHE.setdefault(key, _f_raw(zeta, x))
-    return hit
+    memo = _F_CACHE.setdefault(zeta, {})
+    hit = memo.get(x)
+    if hit is not None:
+        return hit
 
-
-def _f_raw(zeta: Element, x: Element) -> Element:
-    if isinstance(x, IntChunk):
-        return scale(x.n, zeta)
-    if isinstance(x, WordChunk):
+    def image_of_chunk(b: Element) -> Element:
+        if isinstance(b, IntChunk):
+            return scale(b.n, zeta)
         mz = mu(zeta)
-        pieces = []
-        for idx, e in _basis_runs(x):
-            if idx == 0:
-                pieces.append(scale(e, zeta))
-            else:
-                pieces.append(make_pi([(mz + idx, e)]))
+        return sum_elements(scale(e, zeta) if idx == 0 else make_pi([(mz + idx, e)])
+                            for idx, e in _basis_runs(b))
+
+    def image_of_seq(s: Seq, images: dict) -> Element:
+        pieces = [images[it] if isinstance(it, Element)
+                  else make_stable(images[it[1].alpha], images[it[1].beta], it[0])
+                  for it in s.items]
+        if s.omega:
+            pieces.append(make_omega(zeta.level + s.level - 1, s.omega))
         return sum_elements(pieces)
-    pieces = []
-    for it in x.items:
-        if isinstance(it, Element):
-            pieces.append(f_eval(zeta, it))
-        else:
-            sign, lt = it
-            pieces.append(make_stable(f_eval(zeta, lt.alpha), f_eval(zeta, lt.beta), sign))
-    if x.omega:
-        pieces.append(make_omega(zeta.level + x.level - 1, x.omega))
-    return sum_elements(pieces)
+
+    return _fold(x, memo, image_of_chunk, image_of_seq)
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -398,21 +394,7 @@ def in_w(x: Element) -> bool:
         return True
     if x.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("this subgroup lives in the free-base tower")
-    return _w_walk(x)
-
-
-def _w_walk(x: Element) -> bool:
-    # recurse through plain loops: a generator frame per level would
-    # lower the nesting limit
-    if isinstance(x, WordChunk):
-        return all(abs(c) >= 2 for c in x.letters)
-    for it in x.items:
-        if isinstance(it, Element):
-            if not _w_walk(it):
-                return False
-        elif not (_w_walk(it[1].alpha) and _w_walk(it[1].beta)):
-            return False
-    return True
+    return _fold(x, _SPAN_CACHE, _word_span, _join_spans)[0] >= 1
 
 
 def in_h(zeta: Element, x: Element) -> bool:
@@ -424,5 +406,5 @@ def in_h(zeta: Element, x: Element) -> bool:
 
 
 def clear_caches():
-    _MU_CACHE.clear()
+    _SPAN_CACHE.clear()
     _F_CACHE.clear()

@@ -428,6 +428,42 @@ def top_letter_count(a: Element, lvl: int) -> int:
     return 0
 
 
+def _fold(x: Element, memo: dict, leaf, node):
+    """Fold over the hereditary structure of nonzero ``x``, bottom up.
+
+    ``leaf(b)`` gives the value of a base chunk and ``node(s, memo)``
+    that of a ``Seq`` once ``memo`` holds the values of its children:
+    its coefficients and the subscripts of its letters.  Values are
+    memoized per interned node in ``memo``, which the caller owns.  The
+    walk is an explicit-stack post-order visiting children left to
+    right, so depth costs no Python frames and a shared subterm is
+    folded once."""
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        if y in memo:
+            continue
+        if not isinstance(y, Seq):
+            memo[y] = leaf(y)
+            continue
+        todo = []
+        for it in y.items:
+            if isinstance(it, Element):
+                if it not in memo:
+                    todo.append(it)
+            else:
+                if it[1].alpha not in memo:
+                    todo.append(it[1].alpha)
+                if it[1].beta not in memo:
+                    todo.append(it[1].beta)
+        if todo:
+            stack.append(y)
+            stack += reversed(todo)
+        else:
+            memo[y] = node(y, memo)
+    return memo[x]
+
+
 def equal(a: Element, b: Element) -> bool:
     """Group equality; canonical forms make this an identity check."""
     _join_variants(a.variant, b.variant)

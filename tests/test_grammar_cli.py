@@ -5,11 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from hnn_nearring import (
+    EngineError,
     ExprSyntaxError,
     SampleConfig,
     Variant,
@@ -18,8 +20,8 @@ from hnn_nearring import (
     make_pi,
     make_stable,
     mul,
+    neg,
     parse_element,
-    parse_expr,
     render,
     run_cli,
     sample_element,
@@ -65,23 +67,47 @@ class TestParse:
 
     def test_wrong_variant_atoms(self):
         with pytest.raises(WrongVariant):
-            parse_expr("om(0)", A)
+            parse_element("om(0)", A)
         with pytest.raises(WrongVariant):
-            parse_expr("pi(1)", A)
+            parse_element("pi(1)", A)
         with pytest.raises(WrongVariant):
-            parse_expr("5", B)
+            parse_element("5", B)
 
     def test_scalar_allowed_under_free_base(self):
         assert parse_element("2*pi(1)", B) is make_pi([(1, 2)])
 
     def test_syntax_error_position(self):
         with pytest.raises(ExprSyntaxError) as exc:
-            parse_expr("1 + $", A)
+            parse_element("1 + $", A)
         assert exc.value.position == 4
         with pytest.raises(ExprSyntaxError):
-            parse_expr("t[1,", A)
+            parse_element("t[1,", A)
         with pytest.raises(ExprSyntaxError):
-            parse_expr("1 2", A)
+            parse_element("1 2", A)
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("1 2", "trailing input 2", 2),
+        ("t[1,", "expected a term, found END", 4),
+        ("1 + $", "unexpected character '$'", 4),
+        ("t[1,2", "expected ], found END", 5),
+        ("(1", "expected ), found END", 2),
+        ("t[1;2]", "unexpected character ';'", 3),
+        ("t[1,2]]", "trailing input ']'", 6),
+        ("", "expected a term, found END", 0),
+        ("-", "expected a term, found END", 1),
+        ("3*", "expected a term, found END", 2),
+        ("foo(1)", "unknown name 'foo'", 0),
+    ])
+    def test_syntax_error_text(self, text, message, position):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_element(text, A)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
+    def test_unclosed_atom_of_the_wrong_variant(self):
+        with pytest.raises(WrongVariant) as exc:
+            parse_element("om(1", A)
+        assert str(exc.value) == "om(...) is not available under variant A"
 
 
 class TestRender:
@@ -91,6 +117,22 @@ class TestRender:
 
     def test_letter(self):
         assert render(make_stable(make_int(2, A), make_int(-2, A))) == "t[2,-2]"
+
+    def test_self_similar_tower_is_refused_quickly(self):
+        # each level doubles the text while the element stays a small DAG
+        x = make_int(1, A)
+        for _ in range(30):
+            x = make_stable(x, neg(x))
+        start = time.perf_counter()
+        with pytest.raises(EngineError, match="refusing to render"):
+            render(x)
+        assert time.perf_counter() - start < 1.0
+
+    def test_10000_level_tower_round_trips(self):
+        text = _tower(10_000, "pi(1)", "pi(2)")
+        e = parse_element(text, B)
+        assert e.level == 10_000
+        assert render(e) == text
 
     @given(elements(A))
     @settings(max_examples=60, deadline=None)
@@ -177,9 +219,8 @@ class TestCli:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize("args", [
-        ["eval", "--variant", "A", _tower(800)],  # the parser gives out
-        ["apply", "--variant", "A", "--zeta=" + _tower(300), _tower(300)],  # the renderer
-    ], ids=["eval-800", "apply-300"])
+        ["member", "--variant", "C", "--subgroup", "H", _tower(800)],  # the inverse image
+    ], ids=["member-H-800"])
     def test_deep_nesting_is_a_usage_error(self, args, capsys):
         assert run_cli(args) == 2
         captured = capsys.readouterr()
@@ -191,15 +232,48 @@ class TestCli:
         (["apply", "--variant", "A", "--zeta=" + _tower(200), _tower(200)], None),
         (["member", "--variant", "B", "--subgroup", "W", _tower(450, "pi(1)", "pi(2)")],
          "true"),
-    ], ids=["eval-450", "apply-200", "member-W-450"])
+        (["eval", "--variant", "A", _tower(800)], _tower(800)),
+        (["apply", "--variant", "A", "--zeta=" + _tower(300), _tower(300)], None),
+    ], ids=["eval-450", "apply-200", "member-W-450", "eval-800", "apply-300"])
     def test_moderate_nesting_evaluates(self, args, out, capsys):
-        # the nesting the README promises; a walk that recurses through a
-        # generator frame per level (say all(...) in _w_walk) fails here
+        # the parser, the renderer and the structural walks run on explicit
+        # stacks; a walk that recursed per level would fail here
         assert run_cli(args) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         if out is not None:
             assert captured.out.strip() == out
+
+    def test_python_dash_m_eval_of_a_10000_level_tower(self):
+        tower = _tower(10_000)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hnn_nearring", "eval", "--variant", "A", tower],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == tower + "\n"
+
+    def test_oversized_result_is_a_usage_error(self, capsys):
+        # the product of two 2,000-level towers renders to about 4e7 characters
+        assert run_cli(["mul", "--variant", "A", _tower(2000), _tower(2000)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: refusing to render")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("args", [
+        ["member", "--variant", "A", "--subgroup", "H", "1"],
+        ["member", "--variant", "B", "--subgroup", "H", "pi(1)"],
+        # an engine error in a complete prefix may come before a later syntax error
+        ["eval", "--variant", "A", "t[1,1] 2"],
+    ], ids=["member-H-A", "member-H-B", "engine-error-before-syntax-error"])
+    def test_errors_carry_the_prefix(self, args, capsys):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("suite, tag, supported", [
         ("nonequiprime", "A", "B or C"), ("equiprime", "B", "A"),

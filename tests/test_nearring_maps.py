@@ -36,6 +36,34 @@ B = Variant.B_FREE_BASE
 C = Variant.C_INT_OMEGA_BASE
 
 
+def _tower(levels, a, b):
+    """``t[...t[t[a,b],b]...,b]``, nested ``levels`` letters deep."""
+    x = make_stable(a, b)
+    for _ in range(levels - 1):
+        x = make_stable(x, b)
+    return x
+
+
+class TestTenThousandLevels:
+    """The structural walks run on an explicit stack, so a tower far
+    deeper than the recursion limit folds under the default limit."""
+
+    def test_f_eval(self):
+        x = _tower(10_000, make_int(1, A), make_int(2, A))
+        assert f_eval(make_int(3, A), x) is _tower(10_000, make_int(3, A), make_int(6, A))
+
+    def test_f_eval_by_a_tower(self):
+        z = _tower(10_000, make_int(1, A), make_int(2, A))
+        assert f_eval(z, make_stable(make_int(1, A), make_int(2, A))) is make_stable(
+            z, add(z, z))
+
+    def test_mu_and_in_w(self):
+        pi0, pi1, pi2 = make_pi([0]), make_pi([1]), make_pi([2])
+        assert mu(_tower(10_000, pi1, pi2)) == 2
+        assert in_w(_tower(10_000, pi1, pi2))
+        assert not in_w(_tower(10_000, pi0, pi2))
+
+
 class TestFEval:
     def test_integer_scaling(self):
         assert f_eval(make_int(3, A), make_int(5, A)) is make_int(15, A)
@@ -266,7 +294,7 @@ class TestKnownFaults:
     """Faults recorded as FOUND lines in CHANGES.md, pinned so that the
     change that mends one sees its test pass (strict xfail) and flips it."""
 
-    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: _f_raw sends om(j) to "
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: f_eval sends om(j) to "
                        "om(level(zeta) + j), so the product is not associative under C")
     def test_omega_product_associates(self):
         c = parse_element("-t[2,-2] + 1 + t[2,-2] + 6", C)
