@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
-Each suite's wall time and rate (cases/s) go to stderr, so stdout and
-the reports stay identical from run to run.
+Each suite's wall time and rate (cases/s) go to stderr, followed after
+the run by the size, hits and misses of every memoized library function,
+so stdout and the reports stay identical from run to run.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -28,7 +29,10 @@ def main() -> int:
 
     config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
     if args.json_dir:
-        args.json_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.json_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(args.json_dir, exc)
 
     all_passed = True
     for tags, runner in SUITES.values():
@@ -47,8 +51,32 @@ def main() -> int:
                   f"{report.cases_run / elapsed:9.1f} cases/s", file=sys.stderr)
             if args.json_dir:
                 path = args.json_dir / f"{report.suite_name}_{tag}_seed{args.seed}.json"
-                path.write_bytes(write_report(report))
+                try:
+                    path.write_bytes(write_report(report))
+                except OSError as exc:
+                    return _cannot_write(path, exc)
+    for name, info in _memo_stats():
+        print(f"memo {name} size={info.currsize} hits={info.hits} misses={info.misses}",
+              file=sys.stderr)
     return 0 if all_passed else 1
+
+
+def _cannot_write(path, exc) -> int:
+    print(f"error: cannot write report {path}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
+def _memo_stats():
+    """``(module.function, cache_info())`` of every memoized function
+    defined in the library, found by its ``cache_info`` attribute."""
+    found = {}
+    for mod_name, module in list(sys.modules.items()):
+        if not mod_name.startswith("hnn_nearring."):
+            continue
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
+                found[f"{mod_name.rpartition('.')[2]}.{fn.__qualname__}"] = fn.cache_info()
+    return sorted(found.items())
 
 
 if __name__ == "__main__":

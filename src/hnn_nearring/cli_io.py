@@ -169,8 +169,13 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             report = runner(variant, config)
             blob = write_report(report)
             if args.json_path:
-                with open(args.json_path, "wb") as fh:
-                    fh.write(blob)
+                try:
+                    with open(args.json_path, "wb") as fh:
+                        fh.write(blob)
+                except OSError as exc:
+                    print(f"error: cannot write report {args.json_path}: {exc.strerror}",
+                          file=sys.stderr)
+                    return 2
             status = "PASS" if report.passed else "FAIL"
             print(f"{status} suite={report.suite_name} variant={variant.value} "
                   f"seed={config.seed} cases_run={report.cases_run} "

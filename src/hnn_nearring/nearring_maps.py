@@ -75,7 +75,9 @@ def identity_element(variant: Variant) -> Element:
 
 #: nonzero x -> lowest and highest basis index in the hereditary support
 #: of x (base chunks plus, at every level, letter subscripts), filled by
-#: ``_fold(x, _SPAN_CACHE, _word_span, _join_spans)``
+#: ``_fold(x, _SPAN_CACHE, _word_span, _join_spans)``; a plain dict, not
+#: functools.cache, because ``_join_spans`` reads the children's values
+#: out of it
 _SPAN_CACHE: dict = {}
 
 
@@ -111,7 +113,8 @@ def mu(gamma: Element) -> int:
 # The embeddings
 # ---------------------------------------------------------------------------
 
-#: zeta -> {x: image of x under the embedding attached to zeta}
+#: zeta -> {x: image of x under the embedding attached to zeta}; plain
+#: dicts, because ``_fold`` reads the children's images out of them
 _F_CACHE: dict = {}
 
 
@@ -403,8 +406,3 @@ def in_h(zeta: Element, x: Element) -> bool:
     if zeta is ZERO:
         raise ZeroZeta("embeddings are attached to nonzero elements")
     return preimage(zeta, x) is not None
-
-
-def clear_caches():
-    _SPAN_CACHE.clear()
-    _F_CACHE.clear()

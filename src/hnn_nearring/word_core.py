@@ -29,6 +29,7 @@ runs, so no output may depend on the iteration order of a set of them.
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Iterable, Optional, Tuple, Union
 
 __all__ = [
@@ -270,7 +271,9 @@ class Seq(Element):
 # interning tables: keys hold only ints and already-interned objects, so
 # identity is equality is the hash, and one canonical object per value
 # makes that hold for what the tables return; setdefault keeps racing
-# constructors harmless under threads
+# constructors harmless under threads, where functools.cache would let
+# the second of two racing misses overwrite the first and hand out two
+# objects for one value
 _INT_CACHE: dict = {}
 _WORD_CACHE: dict = {}
 _LETTER_CACHE: dict = {}
@@ -537,7 +540,7 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
         sign, lt = it
         gen_in = lt.alpha if sign > 0 else lt.beta
         gen_out = lt.beta if sign > 0 else lt.alpha
-        r, j = _coset_split(acc, gen_in)
+        r, j = _coset_split(acc, gen_in) if acc is not ZERO else (ZERO, 0)
         if r is ZERO and out and out[-1][1] is lt and out[-1][0] == -sign:
             out.pop()
             c = out.pop() if out and isinstance(out[-1], Element) else ZERO
@@ -554,28 +557,28 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
     return _intern_seq(lvl, variant, tuple(out), omega)
 
 
-_ADD_CACHE: dict = {}
-
-
 def add(a: Element, b: Element) -> Element:
     """Group sum of two canonical elements, in canonical form."""
     if a is ZERO:
         return b
     if b is ZERO:
         return a
-    v = _join_variants(a.variant, b.variant)
-    lvl = a.level if a.level >= b.level else b.level
-    if lvl == 0:
+    if a.level == 0 and b.level == 0:
+        v = _join_variants(a.variant, b.variant)
         if v is Variant.B_FREE_BASE:
             return _word_from(_reduce_word_letters(list(a.letters) + list(b.letters)))
         return make_int(a.n + b.n, v)
-    key = (a, b)
-    hit = _ADD_CACHE.get(key)
-    if hit is None:
-        ia, oa = _items_of(a, lvl)
-        ib, ob = _items_of(b, lvl)
-        hit = _ADD_CACHE[key] = _assemble(lvl, ia + ib, oa + ob, v)
-    return hit
+    return _add_above_base(a, b)
+
+
+# zero operands and base sums stay out of this memo: add answers them first
+@functools.cache
+def _add_above_base(a: Element, b: Element) -> Element:
+    v = _join_variants(a.variant, b.variant)
+    lvl = a.level if a.level >= b.level else b.level
+    ia, oa = _items_of(a, lvl)
+    ib, ob = _items_of(b, lvl)
+    return _assemble(lvl, ia + ib, oa + ob, v)
 
 
 def sum_elements(pieces) -> Element:
@@ -657,18 +660,13 @@ def renormalize(a: Element) -> Element:
 # Cyclic reduction
 # ---------------------------------------------------------------------------
 
-_CYCLIC_CACHE: dict = {}
-
-
+@functools.cache
 def cyclic_reduce(a: Element):
     """Split ``a = -c + core + c`` with ``core`` cyclically reduced,
     meaning ``core + core`` carries exactly twice the top-level letters
     of ``core`` (no cancellation or pinch across the junction)."""
     if a is ZERO:
         raise ZeroInput("cannot cyclically reduce zero")
-    hit = _CYCLIC_CACHE.get(a)
-    if hit is not None:
-        return hit
     d = ZERO
     cur = a
     while True:
@@ -690,35 +688,24 @@ def cyclic_reduce(a: Element):
             first = make_stable(lt.alpha, lt.beta, sign)
         cur = add(add(neg(first), cur), first)
         d = add(neg(first), d)
-    res = (d, cur)
-    _CYCLIC_CACHE[a] = res
-    return res
+    return d, cur
 
 
 # ---------------------------------------------------------------------------
 # Coset representatives
 # ---------------------------------------------------------------------------
 
-_SPLIT_CACHE: dict = {}
-
-
+@functools.cache
 def _coset_split(c: Element, gen: Element):
-    """Write ``c = r + j*gen`` where ``r`` is the canonical representative
-    of the coset ``{c + k*gen}``.  The choice of representative depends
-    only on the coset, which is what makes the normal form unique."""
-    if c is ZERO:
-        return ZERO, 0
-    key = (c, gen)
-    hit = _SPLIT_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Write nonzero ``c = r + j*gen`` where ``r`` is the canonical
+    representative of the coset ``{c + k*gen}``.  The choice of
+    representative depends only on the coset, which is what makes the
+    normal form unique.  Callers answer zero (``r = 0``, ``j = 0``)
+    themselves, which keeps it out of the memo."""
     k = _shift_any(c, gen)
     if k == 0:
-        res = (c, 0)
-    else:
-        res = (add(c, scale(k, gen)), -k)
-    _SPLIT_CACHE[key] = res
-    return res
+        return c, 0
+    return add(c, scale(k, gen)), -k
 
 
 def _shift_any(e: Element, gen: Element) -> int:
@@ -819,7 +806,8 @@ def _joins_clean(x: Element, y: Element, lvl: int) -> bool:
     if x.letters[-1] != (-sign, lt):
         return True
     gen_in = lt.alpha if sign > 0 else lt.beta
-    return _coset_split(add(_tail(x), _head(y)), gen_in)[0] is not ZERO
+    c = add(_tail(x), _head(y))
+    return c is not ZERO and _coset_split(c, gen_in)[0] is not ZERO
 
 
 def _metric(x: Element, lvl: int) -> int:
@@ -832,9 +820,7 @@ def _metric(x: Element, lvl: int) -> int:
 # Power membership
 # ---------------------------------------------------------------------------
 
-_POWER_CACHE: dict = {}
-
-
+@functools.cache
 def power_of(g: Element, alpha: Element) -> Optional[int]:
     """Exact decision of ``g = k*alpha``: returns the integer ``k`` when it
     exists (0 exactly for ``g`` zero), ``None`` otherwise.
@@ -847,17 +833,12 @@ def power_of(g: Element, alpha: Element) -> Optional[int]:
     _join_variants(g.variant, alpha.variant)
     if g is ZERO:
         return 0
-    key = (g, alpha)
-    if key in _POWER_CACHE:
-        return _POWER_CACHE[key]
     d, core = cyclic_reduce(alpha)
     if d is ZERO:
         h = g
     else:
         h = add(add(d, g), neg(d))
-    res = _power_of_core(h, core)
-    _POWER_CACHE[key] = res
-    return res
+    return _power_of_core(h, core)
 
 
 def _power_of_core(h: Element, a: Element) -> Optional[int]:
@@ -893,7 +874,9 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
                 return None
             q, r = divmod(h_m, a_m)
             return q if r == 0 else None
-        k = power_of(h_k, a_k)
+        # a nonzero h with no k-part is no multiple of an a that has one;
+        # answering it here keeps zero out of the power_of memo
+        k = power_of(h_k, a_k) if h_k is not ZERO else None
         if k is not None and h_m == k * a_m:
             return k
         return None
@@ -904,15 +887,3 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
         if scale(k, a) is h:
             return k
     return None
-
-
-# ---------------------------------------------------------------------------
-# Cache maintenance
-# ---------------------------------------------------------------------------
-
-def clear_caches():
-    """Drop memoized results (interning tables stay)."""
-    _ADD_CACHE.clear()
-    _CYCLIC_CACHE.clear()
-    _SPLIT_CACHE.clear()
-    _POWER_CACHE.clear()

@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies: random canonical elements per variant."""
+"""Shared hypothesis strategies (random canonical elements per variant)
+and a loader for the scripts in ``scripts/``."""
+
+import importlib.util
+import pathlib
 
 import hypothesis.strategies as st
 
@@ -60,3 +64,12 @@ def _unit(variant):
 
 def nonzero_elements(variant, max_level=2):
     return elements(variant, max_level).filter(lambda e: e is not ZERO)
+
+
+def load_script(name):
+    """The module ``scripts/<name>.py``, executed once per call."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -10,30 +10,24 @@ few element texts, so ``normal_forms_seed7.txt``, written by
 ``scripts/write_normal_forms.py``, pins rendered normal forms of sampled
 elements, their negatives, sums and embedding images as well."""
 
-import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from hnn_nearring import SUITES, SampleConfig, Variant, write_report
+from conftest import load_script
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 CONFIG = SampleConfig(seed=7, count=200, max_level=3)
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-run_suites = _load_script("run_suites")
-write_normal_forms = _load_script("write_normal_forms")
+run_suites = load_script("run_suites")
+write_normal_forms = load_script("write_normal_forms")
 
 #: every (suite, variant) pair of the suite registry, with its runner
 PAIRS = [pytest.param(runner, tag, id=f"{name}-{tag}")
@@ -61,11 +55,29 @@ def test_run_suites_times_on_stderr_only():
         [sys.executable, str(ROOT / "scripts" / "run_suites.py"),
          "--seed", "7", "--count", "3", "--depth", "1"],
         capture_output=True, text=True, env=env, timeout=120)
-    timings = proc.stderr.splitlines()
-    assert len(timings) == len(PAIRS)
+    lines = proc.stderr.splitlines()
+    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
-    assert "cases/s" not in proc.stdout
+    # then one line per memoized library function, after the run
+    assert [line.split()[1] for line in memos] == [
+        "word_core._add_above_base", "word_core._coset_split",
+        "word_core.cyclic_reduce", "word_core.power_of"]
+    assert all(re.fullmatch(r"memo \S+ size=\d+ hits=\d+ misses=\d+", line)
+               for line in memos)
+    assert "cases/s" not in proc.stdout and "memo " not in proc.stdout
     assert len([ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]) == len(PAIRS)
+
+
+def test_run_suites_unwritable_json_dir_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "report"
+    path.write_bytes(b"")
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--count", "1", "--depth", "0",
+                                      "--json-dir", str(path)])
+    assert run_suites.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write report {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--depth", "-1")])

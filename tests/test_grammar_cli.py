@@ -184,6 +184,18 @@ class TestCli:
         assert list(payload) == ["suite", "variant", "seed", "count", "cases_run",
                                  "passed", "failures", "witnesses"]
 
+    @pytest.mark.parametrize("name", ["missing/report.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_check_unwritable_json_is_a_usage_error(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        code = run_cli(["check", "--variant", "C", "--suite", "nonequiprime",
+                        "--count", "3", "--json", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write report {path}: ")
+        assert captured.err.count("\n") == 1
+
     def test_check_failure_exit_code(self):
         # one sampled triple is not enough to find a left-distributivity
         # counterexample at this seed, so the suite reports failure

@@ -1,6 +1,9 @@
 """Core engine: constructors, canonical arithmetic, cyclic reduction,
 power membership."""
 
+import sys
+import threading
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -33,7 +36,7 @@ from hnn_nearring import (
     top_letter_count,
 )
 from hnn_nearring import word_core
-from conftest import elements, nonzero_elements
+from conftest import elements, load_script, nonzero_elements
 
 A = Variant.A_INT_BASE
 B = Variant.B_FREE_BASE
@@ -325,17 +328,97 @@ class TestIdentityHashing:
             assert (1, Variant(tag)) in {(1, v) for v in Variant}
         assert len(table) == 3
 
-    def test_clear_caches_empties_add_memo(self):
+
+#: the memoized functions of the engine, each owning its table
+MEMOS = [fn for fn in vars(word_core).values() if hasattr(fn, "cache_info")]
+
+
+def _memo_sizes():
+    return [fn.cache_info().currsize for fn in MEMOS]
+
+
+class TestMemos:
+    """``add`` above the base, the coset split, cyclic reduction and power
+    membership are memoized by ``functools.cache``; interning is not."""
+
+    def test_memoized_functions(self):
+        assert {fn.__name__ for fn in MEMOS} == {
+            "_add_above_base", "_coset_split", "cyclic_reduce", "power_of"}
+
+    def test_cache_clear_recomputes_identical_objects(self):
         x = make_stable(make_int(1, A), make_int(-1, A))
         y = add(add(make_int(3, A), x), x)
         pairs = [(x, make_int(2, A)), (y, neg(x)), (neg(y), y)]
         sums = [add(a, b) for a, b in pairs]
+        reduced = cyclic_reduce(y)
         assert isinstance(sums[0], Seq) and sums[2] is ZERO
-        assert word_core._ADD_CACHE
-        word_core.clear_caches()
-        assert not word_core._ADD_CACHE
+        for fn in MEMOS:
+            fn.cache_clear()
+        assert _memo_sizes() == [0] * len(MEMOS)
         for (a, b), s in zip(pairs, sums):
             assert add(a, b) is s
+        assert all(u is v for u, v in zip(cyclic_reduce(y), reduced))
+        normal_forms = load_script("write_normal_forms")
+        assert normal_forms.normal_forms() == normal_forms.GOLDEN.read_bytes()
+
+    def test_zero_operands_and_base_sums_stay_out(self):
+        # a memo entry per zero operand or base sum would cost keys on every
+        # pass for answers add and its callers give without a lookup
+        five = make_int(5, A)
+        t = make_stable(make_int(17, A), make_int(-23, A))
+        before = _memo_sizes()
+        assert add(ZERO, t) is t and add(t, ZERO) is t
+        assert add(five, make_int(2, A)) is make_int(7, A)
+        assert add(make_pi([1, 2]), make_pi([(2, -1), 3])) is make_pi([1, 3])
+        # the stream of t + 5 starts with a letter, so _assemble meets it
+        # with a zero coefficient; neg(t) and the junction t - t likewise
+        s = word_core._add_above_base.__wrapped__(t, five)
+        assert s.items == (t.items[0], five)
+        assert neg(t).items == ((-1, t.letters[0][1]),)
+        assert not word_core._joins_clean(t, neg(t), 1)
+        assert _memo_sizes() == before
+
+    def test_threads_build_identical_objects(self):
+        # interning hands out one object per value only if racing misses
+        # agree; a short switch interval makes the threads interleave inside
+        # the constructors and memoized functions (a plain store in place of
+        # setdefault in _intern_seq failed here in 9 of 10 runs)
+        config = SampleConfig(seed=9001, count=200, max_level=3)
+        barrier = threading.Barrier(4)
+
+        def build():
+            barrier.wait()
+            elems, powers = [], []
+            for variant in Variant:
+                xs = [sample_element(config, i, variant) for i in range(config.count)]
+                for x, y in zip(xs, xs[1:]):
+                    s = add(x, y)
+                    elems += [x, s, add(s, s)]
+                    if x is not ZERO:
+                        powers.append(power_of(s, x))
+            return elems, powers
+
+        results = [None] * 4
+
+        def run(i):
+            results[i] = build()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(interval)
+        elems, powers = results[0]
+        assert len(elems) == 3 * 3 * (config.count - 1)
+        for other_elems, other_powers in results[1:]:
+            assert len(other_elems) == len(elems)
+            assert all(u is v for u, v in zip(elems, other_elems))
+            assert other_powers == powers
 
 
 def _samples(variant, seed, count, max_level):
