@@ -15,13 +15,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hnn_nearring import SUITES, SampleConfig, Variant, write_report  # noqa: E402
+from hnn_nearring import SEED_LIMIT, SUITES, SampleConfig, Variant, write_report  # noqa: E402
 from hnn_nearring.cli_io import int_at_least  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int_at_least(0, SEED_LIMIT), default=7)
     parser.add_argument("--count", type=int_at_least(1), default=200)
     parser.add_argument("--depth", type=int_at_least(0), default=3)
     parser.add_argument("--json-dir", type=pathlib.Path)

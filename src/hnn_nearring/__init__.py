@@ -54,6 +54,7 @@ from .nearring_maps import (
 )
 from .grammar import ExprSyntaxError, parse_element, render
 from .verify_suites import (
+    SEED_LIMIT,
     SUITES,
     Report,
     SampleConfig,

@@ -10,6 +10,7 @@ failing suite, 2 a usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional, Sequence
@@ -39,13 +40,16 @@ def write_report(report: Report) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
-def int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def int_at_least(low: int, below: Optional[int] = None):
+    """argparse type: an integer no smaller than ``low`` and, when
+    ``below`` is given, smaller than ``below``."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its messages
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     add_variant(p)
     p.add_argument("--suite", required=True, choices=tuple(vs.SUITES))
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int_at_least(0, vs.SEED_LIMIT), default=7)
     p.add_argument("--count", type=int_at_least(1), default=200)
     p.add_argument("--depth", type=int_at_least(0), default=3,
                    help="maximum sampled level")
@@ -166,16 +170,20 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 raise EngineError(f"suite {args.suite} runs under variant "
                                   f"{' or '.join(tags)} only, not {variant.value}")
             config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
-            report = runner(variant, config)
-            blob = write_report(report)
-            if args.json_path:
+            out = contextlib.nullcontext()
+            if args.json_path:  # opened first, so a bad path costs no suite run
                 try:
-                    with open(args.json_path, "wb") as fh:
-                        fh.write(blob)
+                    out = open(args.json_path, "wb")
                 except OSError as exc:
-                    print(f"error: cannot write report {args.json_path}: {exc.strerror}",
-                          file=sys.stderr)
-                    return 2
+                    raise _cannot_write(args.json_path, exc) from exc
+            with out:
+                report = runner(variant, config)
+                if args.json_path:
+                    try:
+                        out.write(write_report(report))
+                        out.flush()
+                    except OSError as exc:
+                        raise _cannot_write(args.json_path, exc) from exc
             status = "PASS" if report.passed else "FAIL"
             print(f"{status} suite={report.suite_name} variant={variant.value} "
                   f"seed={config.seed} cases_run={report.cases_run} "
@@ -196,6 +204,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     parser.error(f"unhandled command {args.command}")
     return 2
+
+
+def _cannot_write(path: str, exc: OSError) -> EngineError:
+    return EngineError(f"cannot write report {path}: {exc.strerror}")
 
 
 def main() -> None:

@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from hnn_nearring import SUITES, SampleConfig, Variant, write_report
+from hnn_nearring import SEED_LIMIT, SUITES, Report, SampleConfig, Variant, write_report
 from conftest import load_script
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -89,3 +89,25 @@ def test_run_suites_rejects_out_of_range_sizes(flag, value, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {flag}: must be at least" in captured.err
+
+
+@pytest.mark.parametrize("seed, accepted", [(-1, False), (SEED_LIMIT, False),
+                                            (0, True), (SEED_LIMIT - 1, True)])
+def test_run_suites_seed_range(seed, accepted, monkeypatch, capsys):
+    seeds = []
+
+    def stub(variant, config):
+        seeds.append(config.seed)
+        return Report("stub", variant, config, 1)
+
+    monkeypatch.setattr(run_suites, "SUITES", {"stub": ("A", stub)})
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--seed", str(seed)])
+    if accepted:
+        assert run_suites.main() == 0
+        assert seeds == [seed]
+        return
+    with pytest.raises(SystemExit) as exc:
+        run_suites.main()
+    assert exc.value.code == 2
+    assert "error: argument --seed: must be " in capsys.readouterr().err
+    assert seeds == []

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 from hnn_nearring import (
+    SEED_LIMIT,
+    SUITES,
     EngineError,
+    Report,
     ExprSyntaxError,
     SampleConfig,
     Variant,
@@ -186,7 +189,11 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["missing/report.json", "."],
                              ids=["missing-directory", "directory"])
-    def test_check_unwritable_json_is_a_usage_error(self, name, tmp_path, capsys):
+    def test_check_unwritable_json_is_a_usage_error(self, name, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = []
+        # the report file is opened before the suite runs
+        monkeypatch.setitem(SUITES, "nonequiprime", ("BC", lambda v, c: calls.append(c)))
         path = tmp_path / name
         code = run_cli(["check", "--variant", "C", "--suite", "nonequiprime",
                         "--count", "3", "--json", str(path)])
@@ -195,6 +202,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write report {path}: ")
         assert captured.err.count("\n") == 1
+        assert calls == []
 
     def test_check_failure_exit_code(self):
         # one sampled triple is not enough to find a left-distributivity
@@ -210,6 +218,30 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be at least" in err
+
+    @pytest.mark.parametrize("seed", [-1, SEED_LIMIT])
+    def test_check_rejects_out_of_range_seed(self, seed, capsys):
+        code = run_cli(["check", "--variant", "A", "--suite", "axioms", "--seed", str(seed)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --seed: must be " in captured.err
+
+    @pytest.mark.parametrize("seed", [0, SEED_LIMIT - 1])
+    def test_check_accepts_seed_range_ends(self, seed, tmp_path, monkeypatch):
+        configs = []
+
+        def stub(variant, config):
+            configs.append(config)
+            return Report("stub", variant, config, 1)
+
+        monkeypatch.setitem(SUITES, "axioms", ("A", stub))
+        path = tmp_path / "report.json"
+        code = run_cli(["check", "--variant", "A", "--suite", "axioms",
+                        "--seed", str(seed), "--json", str(path)])
+        assert code == 0
+        assert [c.seed for c in configs] == [seed]
+        assert json.loads(path.read_text())["seed"] == seed
 
     def test_option_value_starting_with_dash(self, capsys):
         assert run_cli(["apply", "--variant", "A", "--zeta=-t[1,2]", "3"]) == 0

@@ -200,6 +200,10 @@ class TestPreimage:
         bad = preimage_detail(om0, make_int(5, C))
         assert bad.element is None and bad.reason in ("no_parse", "ambiguous_parse")
 
+    def test_pi1_shifts_the_basis_down(self):
+        x = parse_element("t[pi(1),pi(2)] + pi(3)", B)
+        assert preimage(make_pi([1]), x) is parse_element("t[pi(0),pi(1)] + pi(2)", B)
+
     def test_zero_cases(self):
         om0 = make_omega(0, 1)
         assert preimage(om0, ZERO) is ZERO

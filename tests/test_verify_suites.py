@@ -11,8 +11,14 @@ from hnn_nearring import (
     check_invariant_subgroups,
     check_nearring_axioms,
     find_left_distrib_counterexample,
+    f_eval,
     in_w,
     level,
+    make_pi,
+    mul,
+    parse_element,
+    preimage,
+    render,
     renormalize,
     sample_element,
     sample_nonzero,
@@ -20,6 +26,7 @@ from hnn_nearring import (
     witness_nonequiprime_B,
     witness_nonequiprime_C,
 )
+from hnn_nearring import nearring_maps
 from hnn_nearring.word_core import EngineError
 
 A = Variant.A_INT_BASE
@@ -65,6 +72,21 @@ class TestSampler:
         for k in range(30):
             assert in_w(sample_w_element(cfg, k))
 
+    def test_w_is_the_image_of_pi1(self):
+        # the invariants suite samples W as images under the embedding of
+        # pi(1); on sampled elements membership and an inverse image under
+        # pi(1) go together, and the inverse image maps back
+        pi1 = make_pi([1])
+        cfg = SampleConfig(seed=31, count=0, max_level=4)
+        xs = [sample_element(cfg, k, B) for k in range(60)]
+        xs += [sample_w_element(cfg, k) for k in range(30)]
+        assert 0 < sum(map(in_w, xs)) < len(xs)
+        for x in xs:
+            back = preimage(pi1, x)
+            assert in_w(x) == (back is not None)
+            if back is not None:
+                assert f_eval(pi1, back) is x
+
     def test_max_level_respected(self):
         cfg = SampleConfig(seed=3, count=0, max_level=2)
         assert all(level(sample_element(cfg, k, C)) <= 2 for k in range(60))
@@ -109,6 +131,35 @@ class TestSuitesPass:
     def test_invariants(self, variant):
         rep = check_invariant_subgroups(variant, SMALL)
         assert rep.passed and rep.witnesses
+
+    @pytest.mark.parametrize("variant, member, probe_failures, witnesses, claims", [
+        (B, "in_w",
+         [(["pi(0)"], "in_w(pi(0)) = False", "True"),
+          (["pi(1)"], "in_w(pi(1)) = True", "False")],
+         ["in_w(pi(0)) = True", "in_w(pi(1)) = False"],
+         ["g*w in W", "w*g in W"]),
+        (C, "in_h",
+         [(["om(0)"], "in_h(om(0), om(0)) = True", "False")],
+         ["in_h(om(0), om(0)) = False", "in_h(om(0), 1) = True"],
+         ["g*h in H", "h*g in H"]),
+    ])
+    def test_invariants_failure_texts(self, variant, member, probe_failures, witnesses,
+                                      claims, monkeypatch):
+        # a membership test that answers the opposite rejects every
+        # product and turns every probe around
+        real = getattr(nearring_maps, member)
+        monkeypatch.setattr(nearring_maps, member, lambda *args: not real(*args))
+        rep = check_invariant_subgroups(variant, SampleConfig(seed=7, count=2))
+        assert not rep.passed and rep.cases_run == 2
+        assert rep.witnesses == witnesses
+        n = len(probe_failures)
+        assert [(f["inputs"], f["expected"], f["got"])
+                for f in rep.failures[:n]] == probe_failures
+        products = rep.failures[n:]
+        assert [f["expected"] for f in products] == claims * 2
+        for f in products:  # inputs are the factors in product order
+            left, right = (parse_element(text, variant) for text in f["inputs"])
+            assert f["got"] == render(mul(left, right))
 
     def test_invariants_wrong_variant(self):
         with pytest.raises(WrongVariant):
