@@ -2,13 +2,15 @@
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
-the run by the size, hits and misses of every memoized library function,
+the run by the size, hits and misses of every memoized library function
+and the size of every table the library keeps in a module-level dict,
 so stdout and the reports stay identical from run to run.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
 
 import argparse
+import gc
 import pathlib
 import sys
 import time
@@ -16,7 +18,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hnn_nearring import SEED_LIMIT, SUITES, SampleConfig, Variant, write_report  # noqa: E402
-from hnn_nearring.cli_io import int_at_least  # noqa: E402
+from hnn_nearring.cli_io import GC_THRESHOLD, int_at_least  # noqa: E402
 
 
 def main() -> int:
@@ -58,6 +60,9 @@ def main() -> int:
     for name, info in _memo_stats():
         print(f"memo {name} size={info.currsize} hits={info.hits} misses={info.misses}",
               file=sys.stderr)
+    for name, size, zetas in _table_stats():
+        per_zeta = "" if zetas is None else f" zetas={zetas}"
+        print(f"table {name} size={size}{per_zeta}", file=sys.stderr)
     return 0 if all_passed else 1
 
 
@@ -66,18 +71,42 @@ def _cannot_write(path, exc) -> int:
     return 2
 
 
+def _library_modules():
+    """``(full name, short name, module)`` of every loaded library module."""
+    return [(name, name.rpartition(".")[2], module)
+            for name, module in list(sys.modules.items())
+            if name.startswith("hnn_nearring.")]
+
+
 def _memo_stats():
     """``(module.function, cache_info())`` of every memoized function
     defined in the library, found by its ``cache_info`` attribute."""
     found = {}
-    for mod_name, module in list(sys.modules.items()):
-        if not mod_name.startswith("hnn_nearring."):
-            continue
+    for mod_name, short, module in _library_modules():
         for fn in vars(module).values():
             if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
-                found[f"{mod_name.rpartition('.')[2]}.{fn.__qualname__}"] = fn.cache_info()
+                found[f"{short}.{fn.__qualname__}"] = fn.cache_info()
     return sorted(found.items())
 
 
+def _table_stats():
+    """``(module.name, entries, zetas)`` of every module-level ``*_CACHE``
+    dict of the library.  A table keyed by ``zeta`` holds one dict per
+    embedding: ``entries`` sums their sizes and ``zetas`` counts them;
+    ``zetas`` is None for a flat table."""
+    found = []
+    for _, short, module in _library_modules():
+        for name, table in vars(module).items():
+            if not (name.endswith("_CACHE") and isinstance(table, dict)):
+                continue
+            inner = [v for v in table.values() if isinstance(v, dict)]
+            if inner:
+                found.append((f"{short}.{name}", sum(map(len, inner)), len(table)))
+            else:
+                found.append((f"{short}.{name}", len(table), None))
+    return sorted(found)
+
+
 if __name__ == "__main__":
+    gc.set_threshold(*GC_THRESHOLD)
     sys.exit(main())

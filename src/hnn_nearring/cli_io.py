@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 from typing import Optional, Sequence
@@ -21,7 +22,15 @@ from .grammar import parse_element, render
 from .word_core import EngineError, Variant
 from .verify_suites import Report, SampleConfig
 
-__all__ = ["build_parser", "int_at_least", "main", "run_cli", "write_report"]
+__all__ = ["GC_THRESHOLD", "build_parser", "int_at_least", "main", "run_cli",
+           "write_report"]
+
+#: the cyclic collector's thresholds in the applications (``main`` and
+#: ``scripts/run_suites.py``): the interning and memo tables are never
+#: freed, so the default first-generation threshold of 700 makes the
+#: collector traverse them again and again; the library itself leaves the
+#: process-global setting alone
+GC_THRESHOLD = (50000, 50, 50)
 
 
 def write_report(report: Report) -> bytes:
@@ -211,6 +220,7 @@ def _cannot_write(path: str, exc: OSError) -> EngineError:
 
 
 def main() -> None:
+    gc.set_threshold(*GC_THRESHOLD)
     sys.exit(run_cli())
 
 

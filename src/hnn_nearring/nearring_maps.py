@@ -206,35 +206,49 @@ def _scalar_preimage(k: int, variant: Variant) -> Element:
     return make_int(k, variant)
 
 
+#: zeta -> {x: candidate inverse image of x under the embedding attached
+#: to zeta, or _NO_PREIMAGE}; plain dicts looked up and filled inside
+#: ``_invert``'s own body, because a memo wrapper (functools.cache or a
+#: thin function around a dict) adds a Python frame per level of the
+#: recursion and lowers the nesting ``in_h`` reaches
+_INV_CACHE: dict = {}
+_NO_PREIMAGE = object()
+
+
 def _invert(zeta: Element, x: Element) -> Optional[Element]:
     if x is ZERO:
         return ZERO
+    memo = _INV_CACHE.setdefault(zeta, {})
+    hit = memo.get(x)
+    if hit is not None:
+        return None if hit is _NO_PREIMAGE else hit
     k = power_of(x, zeta)
     if k is not None:
-        return _scalar_preimage(k, zeta.variant)
-    if isinstance(x, IntChunk):
-        return None
-    if isinstance(x, WordChunk):
-        return _invert_word(zeta, x)
-    if (zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
+        out = _scalar_preimage(k, zeta.variant)
+    elif isinstance(x, IntChunk):
+        out = None
+    elif isinstance(x, WordChunk):
+        out = _invert_word(zeta, x)
+    elif (zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
             and x.level == zeta.level):
         # blocks spelling powers of zeta and images of basis letters can
         # interleave at this one level; peel generators off the left
-        return _peel_invert(zeta, x)
-    out = ZERO
-    for it in x.items:
-        if isinstance(it, Element):
-            piece = _invert(zeta, it)
-        else:
-            piece = _invert_letter(zeta, it)
-        if piece is None:
-            return None
-        out = add(out, piece)
-    if x.omega:
-        oi = _invert_omega(zeta, x.level - 1, x.omega)
-        if oi is None:
-            return None
-        out = add(out, oi)
+        out = _peel_invert(zeta, x)
+    else:
+        out = ZERO
+        for it in x.items:
+            if isinstance(it, Element):
+                piece = _invert(zeta, it)
+            else:
+                piece = _invert_letter(zeta, it)
+            if piece is None:
+                out = None
+                break
+            out = add(out, piece)
+        if out is not None and x.omega:
+            oi = _invert_omega(zeta, x.level - 1, x.omega)
+            out = None if oi is None else add(out, oi)
+    memo[x] = _NO_PREIMAGE if out is None else out
     return out
 
 

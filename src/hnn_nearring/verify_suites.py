@@ -12,6 +12,7 @@ scripts.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -87,10 +88,12 @@ def _rng_for(config: SampleConfig, position: int) -> random.Random:
     return random.Random((config.seed & (SEED_LIMIT - 1)) * 0x100000000 + position)
 
 
+@functools.cache
 def sample_element(config: SampleConfig, position: int, variant: Variant) -> Element:
     """Canonical element of level at most ``max_level``, deterministic in
     ``(seed, position)``.  Target levels cycle with the position so short
-    streams already cover every level."""
+    streams already cover every level.  Memoized: suites that share a
+    stream draw each element once per process."""
     rng = _rng_for(config, position)
     if rng.random() < 0.04:
         return ZERO
@@ -98,8 +101,12 @@ def sample_element(config: SampleConfig, position: int, variant: Variant) -> Ele
     return _gen(rng, config, variant, target, config.max_syllables)
 
 
+@functools.cache
 def sample_nonzero(config: SampleConfig, position: int, variant: Variant,
                    max_level: Optional[int] = None) -> Element:
+    """Nonzero element drawn like ``sample_element`` (redrawing zeros),
+    with target levels cycling up to ``max_level`` when given; memoized
+    alike."""
     rng = _rng_for(config, position)
     target = position % ((max_level if max_level is not None else config.max_level) + 1)
     for _ in range(24):

@@ -56,15 +56,24 @@ def test_run_suites_times_on_stderr_only():
          "--seed", "7", "--count", "3", "--depth", "1"],
         capture_output=True, text=True, env=env, timeout=120)
     lines = proc.stderr.splitlines()
-    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):]
+    timings, memos, tables = lines[:len(PAIRS)], lines[len(PAIRS):-7], lines[-7:]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
     # then one line per memoized library function, after the run
     assert [line.split()[1] for line in memos] == [
+        "verify_suites.sample_element", "verify_suites.sample_nonzero",
         "word_core._add_above_base", "word_core._coset_split",
         "word_core.cyclic_reduce", "word_core.power_of"]
     assert all(re.fullmatch(r"memo \S+ size=\d+ hits=\d+ misses=\d+", line)
                for line in memos)
-    assert "cases/s" not in proc.stdout and "memo " not in proc.stdout
+    # then one line per dict table; the per-zeta tables count their zetas
+    assert [line.split()[1] for line in tables] == [
+        "nearring_maps._F_CACHE", "nearring_maps._INV_CACHE", "nearring_maps._SPAN_CACHE",
+        "word_core._INT_CACHE", "word_core._LETTER_CACHE", "word_core._SEQ_CACHE",
+        "word_core._WORD_CACHE"]
+    assert all(re.fullmatch(r"table \S+ size=[1-9]\d* zetas=[1-9]\d*", line)
+               for line in tables[:2])
+    assert all(re.fullmatch(r"table \S+ size=[1-9]\d*", line) for line in tables[2:])
+    assert not any(word in proc.stdout for word in ("cases/s", "memo ", "table "))
     assert len([ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]) == len(PAIRS)
 
 

@@ -298,6 +298,18 @@ class TestCli:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == tower + "\n"
 
+    def test_python_dash_m_member_H_of_a_450_level_tower(self):
+        # the inverse-image search recurses twice per level and reaches
+        # about 490 levels under the default recursion limit; a memo that
+        # put one more Python frame on each level would stop it near 330
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hnn_nearring", "member", "--variant", "C",
+             "--subgroup", "H", _tower(450)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "false\n")
+
     def test_oversized_result_is_a_usage_error(self, capsys):
         # the product of two 2,000-level towers renders to about 4e7 characters
         assert run_cli(["mul", "--variant", "A", _tower(2000), _tower(2000)]) == 2

@@ -29,6 +29,7 @@ from hnn_nearring import (
     preimage_detail,
     scale,
 )
+from hnn_nearring import nearring_maps
 from conftest import elements, nonzero_elements
 
 A = Variant.A_INT_BASE
@@ -311,5 +312,8 @@ class TestKnownFaults:
     def test_preimage_inverts_merged_blocks(self, variant):
         x = parse_element("t[-3,3] + -t[2,-2] + 5", variant)
         z = parse_element("t[-2,2] + 1 + -t[-2,2]", variant)
-        detail = preimage_detail(z, f_eval(z, x))
-        assert (detail.reason, detail.element) == ("ok", x)
+        y = f_eval(z, x)
+        nearring_maps._INV_CACHE.pop(z, None)
+        for memo in ("cold", "warm"):  # the inverse-image memo keeps answers
+            detail = preimage_detail(z, y)
+            assert (memo, detail.reason, detail.element) == (memo, "ok", x)

@@ -1,8 +1,13 @@
-"""Sampler determinism and coverage; every suite passes at small scale."""
+"""Sampler determinism, coverage and memos; every suite passes at small
+scale."""
+
+import dataclasses
+import pathlib
 
 import pytest
 
 from hnn_nearring import (
+    SUITES,
     SampleConfig,
     Variant,
     WrongVariant,
@@ -18,6 +23,7 @@ from hnn_nearring import (
     mul,
     parse_element,
     preimage,
+    preimage_detail,
     render,
     renormalize,
     sample_element,
@@ -25,6 +31,7 @@ from hnn_nearring import (
     sample_w_element,
     witness_nonequiprime_B,
     witness_nonequiprime_C,
+    write_report,
 )
 from hnn_nearring import nearring_maps
 from hnn_nearring.word_core import EngineError
@@ -185,3 +192,77 @@ class TestReportReproducibility:
     def test_identical_reruns(self, make):
         r1, r2 = make(), make()
         assert r1 == r2
+
+
+class TestMemos:
+    """The two samplers are ``functools.cache`` functions, and ``_invert``
+    keeps its answers in ``_INV_CACHE``; a memo may change the cost of a
+    run, never its elements or its report bytes."""
+
+    SAMPLERS = (sample_element, sample_nonzero)
+
+    def test_warm_sampler_matches_the_computation(self):
+        cfg = SampleConfig(seed=101, count=0, max_level=3)
+        for variant in (A, B, C):
+            for k in range(40):
+                for sampler, args in ((sample_element, ()), (sample_nonzero, ()),
+                                      (sample_nonzero, (1,))):
+                    warm = sampler(cfg, k, variant, *args)
+                    assert sampler(cfg, k, variant, *args) is warm
+                    assert sampler.__wrapped__(cfg, k, variant, *args) is warm
+
+    @pytest.mark.parametrize("field, value", [("max_level", 4), ("int_range", (-60, 60))])
+    def test_every_config_field_is_in_the_key(self, field, value):
+        # a key that dropped a field would hand the second config the
+        # first config's elements
+        base = SampleConfig(seed=103, count=0, max_level=3)
+        other = dataclasses.replace(base, **{field: value})
+        for sampler in self.SAMPLERS:
+            xs = [sampler(base, k, A) for k in range(40)]
+            ys = [sampler(other, k, A) for k in range(40)]
+            assert ys == [sampler.__wrapped__(other, k, A) for k in range(40)]
+            assert any(x is not y for x, y in zip(xs, ys))
+
+    def test_cache_clear_resamples_identical_objects(self):
+        cfg = SampleConfig(seed=107, count=0, max_level=4)
+        before = [[sampler(cfg, k, v) for k in range(30) for v in (A, B, C)]
+                  for sampler in self.SAMPLERS]
+        for sampler in self.SAMPLERS:
+            sampler.cache_clear()
+            assert sampler.cache_info().currsize == 0
+        after = [[sampler(cfg, k, v) for k in range(30) for v in (A, B, C)]
+                 for sampler in self.SAMPLERS]
+        assert all(x is y for xs, ys in zip(before, after) for x, y in zip(xs, ys))
+
+    def test_reverse_order_matches_the_goldens(self):
+        # the suites share sample streams and inverse images; run in the
+        # opposite order, each still writes its golden report byte for byte
+        golden = pathlib.Path(__file__).resolve().parent / "golden"
+        config = SampleConfig(seed=7, count=200, max_level=3)
+        for sampler in self.SAMPLERS:
+            sampler.cache_clear()
+        nearring_maps._INV_CACHE.clear()
+        pairs = [(tag, runner) for tags, runner in SUITES.values() for tag in tags]
+        assert len(pairs) == 14
+        for tag, runner in reversed(pairs):
+            report = runner(Variant(tag), config)
+            path = golden / f"{report.suite_name}_{tag}_seed{config.seed}.json"
+            assert write_report(report) == path.read_bytes()
+
+    def test_inverse_memo_repeats_the_cold_answer(self):
+        # the memo stores a missing inverse image as a sentinel and hands
+        # it back as None, so a warm search gives the cold reason, no_parse
+        # included (the merged-block pair of TestKnownFaults)
+        cfg = SampleConfig(seed=109, count=0, max_level=3)
+        cases = [(parse_element("t[-2,2] + 1 + -t[-2,2]", v),
+                  parse_element("t[-3,3] + -t[2,-2] + 5", v)) for v in (A, C)]
+        cases += [(sample_nonzero(cfg, 2 * k, v), sample_element(cfg, 2 * k + 1, v))
+                  for k in range(20) for v in (A, B, C)]
+        xs = [f_eval(z, y) for z, y in cases]
+        nearring_maps._INV_CACHE.clear()
+        cold = [preimage_detail(z, x) for (z, _), x in zip(cases, xs)]
+        assert {"ok", "no_parse"} <= {d.reason for d in cold}
+        warm = [preimage_detail(z, x) for (z, _), x in zip(cases, xs)]
+        assert warm == cold
+        stored = nearring_maps._INV_CACHE[cases[0][0]][xs[0]]
+        assert cold[0].reason == "no_parse" and stored is nearring_maps._NO_PREIMAGE
