@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -36,6 +35,10 @@ GC_THRESHOLD = (50000, 50, 50)
 def write_report(report: Report) -> bytes:
     """Stable JSON encoding of a suite report; identical reports give
     byte-identical output."""
+    # imported here, not at the top: only a command that writes a report
+    # pays for loading json
+    import json
+
     payload = {
         "suite": report.suite_name,
         "variant": report.variant.value,

@@ -10,12 +10,15 @@ elements; no syntax tree is kept.  Rendering is deterministic and
 canonical: parsing a rendered element gives back the identical value.
 Both walk nested letters on explicit stacks, so nesting depth is not
 bounded by Python's recursion limit, and rendering refuses text longer
-than ``_RENDER_LIMIT``.
+than ``_RENDER_LIMIT``.  Integers longer than the interpreter's limit on
+integer text (``sys.get_int_max_str_digits()``) are refused both ways:
+a literal is a syntax error, a result an ``EngineError``.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import List, Optional
 
 from .word_core import (
@@ -66,7 +69,13 @@ def _tokenize(text: str):
             at = len(text) - len(stripped)
             raise ExprSyntaxError(f"unexpected character {text[at]!r}", at)
         if m.group(1) is not None:
-            tokens.append(("NAT", int(m.group(1)), m.start(1)))
+            try:
+                value = int(m.group(1))
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ExprSyntaxError(
+                    f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                    m.start(1)) from None
+            tokens.append(("NAT", value, m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("NAME", m.group(2), m.start(2)))
         else:
@@ -207,13 +216,14 @@ def render(e: Element) -> str:
             todo += ("]", lt.beta, ",", lt.alpha)
             text = "t[" if sign > 0 else "-t["
         elif isinstance(x, IntChunk):
-            text = str(x.n)
+            text = _int_text(x.n)
         elif isinstance(x, WordChunk):
-            text = " + ".join(_scalar_text(k, f"pi({idx})") for idx, k in _basis_runs(x))
+            text = " + ".join(_scalar_text(k, f"pi({_int_text(idx)})")
+                              for idx, k in _basis_runs(x))
         else:  # a Seq
             parts = list(x.items)
             if x.omega:
-                parts.append(_scalar_text(x.omega, f"om({x.level - 1})"))
+                parts.append(_scalar_text(x.omega, f"om({_int_text(x.level - 1)})"))
             todo.append(parts.pop())
             while parts:
                 todo += (" + ", parts.pop())
@@ -230,4 +240,12 @@ def _scalar_text(k: int, atom: str) -> str:
         return atom
     if k == -1:
         return "-" + atom
-    return f"{k}*{atom}"
+    return f"{_int_text(k)}*{atom}"
+
+
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise EngineError(f"refusing to render an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None

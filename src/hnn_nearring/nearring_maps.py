@@ -12,8 +12,7 @@ the embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .word_core import (
     ZERO,
@@ -167,8 +166,7 @@ def mul(a: Element, b: Element) -> Element:
 # Inverse images and the invariant subgroups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PreimageResult:
+class PreimageResult(NamedTuple):
     """Outcome of an inverse-image search.
 
     ``reason`` is ``ok``, ``no_parse`` (some component failed to invert)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from types import SimpleNamespace
+from typing import NamedTuple, Optional, Tuple
 
 from . import nearring_maps as nr
 from . import word_core as wc
@@ -46,10 +46,10 @@ _MAX_RECORDED_FAILURES = 25
 SEED_LIMIT = 1 << 64
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(NamedTuple):
     """Deterministic generation parameters; equal configs yield equal
-    element streams."""
+    element streams.  A tuple, so it is immutable and hashes by value (the
+    samplers' memo key)."""
 
     seed: int = 7
     count: int = 200
@@ -60,18 +60,15 @@ class SampleConfig:
     omega_index_range: Tuple[int, int] = (0, 3)
 
 
-@dataclass
-class Report:
+class Report(SimpleNamespace):
     """Outcome of one suite run; ``passed`` holds exactly when
-    ``failures`` is empty."""
+    ``failures`` is empty.  Reports compare equal attribute by attribute."""
 
-    suite_name: str
-    variant: Variant
-    config: SampleConfig
-    cases_run: int
-    failures: List[dict] = field(default_factory=list)
-    witnesses: List[str] = field(default_factory=list)
-    passed: bool = True
+    def __init__(self, suite_name: str, variant: Variant, config: SampleConfig,
+                 cases_run: int):
+        super().__init__(suite_name=suite_name, variant=variant, config=config,
+                         cases_run=cases_run, failures=[], witnesses=[],
+                         passed=True)
 
     def record(self, inputs, expected, got):
         if len(self.failures) < _MAX_RECORDED_FAILURES:

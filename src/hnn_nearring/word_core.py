@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from typing import Iterable, Optional, Tuple, Union
 
 __all__ = [
@@ -618,9 +619,12 @@ def scale(k: int, a: Element) -> Element:
         return _intern_int(k * a.n, a.variant)
     d, core = cyclic_reduce(a)
     if not isinstance(core, IntChunk) and abs(k) * max(1, core._size()) > _MATERIALIZE_LIMIT:
+        try:
+            power = f"{abs(k)}-fold power"
+        except ValueError:  # k is longer than sys.get_int_max_str_digits()
+            power = f"power with a more than {sys.get_int_max_str_digits()}-digit exponent"
         raise EngineError(
-            f"refusing to materialize a {abs(k)}-fold power of an element "
-            f"of size {core._size()}")
+            f"refusing to materialize a {power} of an element of size {core._size()}")
     if isinstance(core, IntChunk):
         kc = _intern_int(k * core.n, core.variant)
     elif isinstance(core, WordChunk):

@@ -38,6 +38,15 @@ B = Variant.B_FREE_BASE
 C = Variant.C_INT_OMEGA_BASE
 
 
+#: the interpreter's limit on integer <-> text conversion (0: none)
+_DIGIT_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+#: an integer literal too long to read, and one whose square is too long
+#: to print (about 1.4 times the limit's digits)
+_UNREADABLE = "9" * (_DIGIT_LIMIT + 700)
+_UNPRINTABLE_SQUARE = "7" * (_DIGIT_LIMIT * 7 // 10)
+
+
 def _tower(levels, a="1", b="2"):
     """``t[...t[t[a,b],b]...,b]``, nested ``levels`` letters deep."""
     text = f"t[{a},{b}]"
@@ -106,6 +115,13 @@ class TestParse:
             parse_element(text, A)
         assert str(exc.value) == f"{message} (at position {position})"
         assert exc.value.position == position
+
+    @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no limit on integer text")
+    def test_overlong_literal_is_a_syntax_error(self):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_element("1 + " + "9" * (_DIGIT_LIMIT + 1), A)
+        assert str(exc.value) == (f"integer literal longer than {_DIGIT_LIMIT} digits "
+                                  f"(at position 4)")
 
     def test_unclosed_atom_of_the_wrong_variant(self):
         with pytest.raises(WrongVariant) as exc:
@@ -318,6 +334,29 @@ class TestCli:
         assert captured.err.startswith("error: refusing to render")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.skipif(not _DIGIT_LIMIT, reason="no limit on integer text")
+    @pytest.mark.parametrize("args", [
+        ["eval", "--variant", "A", _UNREADABLE],
+        ["eval", "--variant", "B", f"pi({_UNREADABLE})"],
+        ["mul", "--variant", "A", _UNPRINTABLE_SQUARE, _UNPRINTABLE_SQUARE],
+        ["apply", "--variant", "B", "--zeta", "pi(1)", f"pi({'9' * _DIGIT_LIMIT})"],
+        ["apply", "--variant", "C", "--zeta", "om(0)", f"om({'9' * _DIGIT_LIMIT})"],
+        ["apply", "--variant", "A", "--zeta", "t[1,2]",
+         f"{_UNPRINTABLE_SQUARE}*{_UNPRINTABLE_SQUARE}"],
+    ], ids=["eval-literal", "eval-pi-index", "mul-product", "apply-pi-index",
+            "apply-om-index", "apply-scale-exponent"])
+    def test_integers_past_the_digit_limit_are_usage_errors(self, args):
+        # int(str) and str(int) raise ValueError past the interpreter's
+        # limit; the parser, the renderer and scale's refusal message each
+        # turn that into an error line
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        proc = subprocess.run([sys.executable, "-m", "hnn_nearring", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("args", [
         ["member", "--variant", "A", "--subgroup", "H", "1"],
         ["member", "--variant", "B", "--subgroup", "H", "pi(1)"],
@@ -348,6 +387,34 @@ class TestCli:
         assert run_cli(["eval", "--variant", "Z", "1"]) == 2
         assert run_cli(["eval", "--variant", "A", "t[1,"]) == 2
         assert run_cli(["member", "--variant", "A", "--subgroup", "H", "1"]) == 2
+
+
+_START_UP = """
+import sys
+before = set(sys.modules)
+import hnn_nearring.cli_io
+print(sorted(m for m in ("dataclasses", "inspect", "json") if m not in before
+             and m in sys.modules))
+code = hnn_nearring.cli_io.run_cli(["check", "--variant", "A", "--suite", "leftdistrib",
+                                    "--seed", "7", "--count", "200", "--depth", "3",
+                                    "--json", sys.argv[1]])
+print(code, "json" in sys.modules)
+"""
+
+
+class TestStartUp:
+    def test_no_dataclasses_and_json_only_with_a_report(self, tmp_path):
+        # every one-shot command imports the library; dataclasses (with
+        # inspect, ast and dis) and json would add to each start-up
+        path = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        proc = subprocess.run([sys.executable, "-c", _START_UP, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[0] == "[]"
+        assert proc.stdout.splitlines()[-1] == "0 True"
+        golden = _SRC.parent / "tests" / "golden" / "left_distrib_counterexample_A_seed7.json"
+        assert path.read_bytes() == golden.read_bytes()
 
 
 class TestReports:

@@ -200,6 +200,8 @@ class TestPreimage:
         assert ok.reason == "ok" and ok.element is make_omega(0, 1)
         bad = preimage_detail(om0, make_int(5, C))
         assert bad.element is None and bad.reason in ("no_parse", "ambiguous_parse")
+        element, reason = bad  # a named tuple
+        assert (element, reason) == (None, bad.reason)
 
     def test_pi1_shifts_the_basis_down(self):
         x = parse_element("t[pi(1),pi(2)] + pi(3)", B)

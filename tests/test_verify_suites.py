@@ -1,13 +1,13 @@
 """Sampler determinism, coverage and memos; every suite passes at small
 scale."""
 
-import dataclasses
 import pathlib
 
 import pytest
 
 from hnn_nearring import (
     SUITES,
+    Report,
     SampleConfig,
     Variant,
     WrongVariant,
@@ -194,6 +194,32 @@ class TestReportReproducibility:
         assert r1 == r2
 
 
+class TestRecordTypes:
+    """``SampleConfig`` and ``PreimageResult`` are named tuples and
+    ``Report`` a ``SimpleNamespace``: the library imports no
+    ``dataclasses``."""
+
+    def test_config_fields_are_read_only(self):
+        cfg = SampleConfig(seed=5)
+        with pytest.raises(AttributeError):
+            cfg.seed = 6
+        assert cfg.seed == 5
+
+    def test_equal_configs_hash_equal(self):
+        x, y = SampleConfig(seed=5, max_level=2), SampleConfig(5, 200, 2)
+        assert x == y and hash(x) == hash(y)
+        assert x == (5, 200, 2, 4, (-6, 6), (0, 5), (0, 3))
+        assert x != SampleConfig(seed=6, max_level=2)
+
+    def test_report_starts_empty_and_compares_by_value(self):
+        r1, r2 = Report("s", A, SMALL, 2), Report("s", A, SMALL, 2)
+        assert (r1.failures, r1.witnesses, r1.passed) == ([], [], True)
+        assert r1 == r2 and r1.failures is not r2.failures
+        r1.record(("x",), "e", "g")
+        assert r1 != r2 and r2.failures == [] and not r1.passed
+        assert repr(r2).startswith("Report(suite_name='s', variant=<Variant.A")
+
+
 class TestMemos:
     """The two samplers are ``functools.cache`` functions, and ``_invert``
     keeps its answers in ``_INV_CACHE``; a memo may change the cost of a
@@ -216,7 +242,7 @@ class TestMemos:
         # a key that dropped a field would hand the second config the
         # first config's elements
         base = SampleConfig(seed=103, count=0, max_level=3)
-        other = dataclasses.replace(base, **{field: value})
+        other = base._replace(**{field: value})
         for sampler in self.SAMPLERS:
             xs = [sampler(base, k, A) for k in range(40)]
             ys = [sampler(other, k, A) for k in range(40)]
