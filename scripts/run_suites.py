@@ -2,9 +2,10 @@
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
-the run by the size, hits and misses of every memoized library function
-and the size of every table the library keeps in a module-level dict,
-so stdout and the reports stay identical from run to run.
+the run by the size, hits and misses of every memoized library function,
+the size of every table the library keeps in a module-level dict and
+the peak resident set size of the process, so stdout and the reports
+stay identical from run to run.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -12,6 +13,7 @@ so stdout and the reports stay identical from run to run.
 import argparse
 import gc
 import pathlib
+import resource
 import sys
 import time
 
@@ -63,6 +65,9 @@ def main() -> int:
     for name, size, zetas in _table_stats():
         per_zeta = "" if zetas is None else f" zetas={zetas}"
         print(f"table {name} size={size}{per_zeta}", file=sys.stderr)
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak_rss {peak_mb:.1f} MB", file=sys.stderr)
     return 0 if all_passed else 1
 
 

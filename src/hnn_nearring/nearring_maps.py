@@ -28,6 +28,7 @@ from .word_core import (
     _basis_runs,
     _fold,
     _join_variants,
+    _letter,
     add,
     cyclic_reduce,
     make_int,
@@ -144,7 +145,7 @@ def f_eval(zeta: Element, x: Element) -> Element:
 
     def image_of_seq(s: Seq, images: dict) -> Element:
         pieces = [images[it] if isinstance(it, Element)
-                  else make_stable(images[it[1].alpha], images[it[1].beta], it[0])
+                  else (it[0], _letter(images[it[1].alpha], images[it[1].beta]))
                   for it in s.items]
         if s.omega:
             pieces.append(make_omega(zeta.level + s.level - 1, s.omega))
@@ -233,19 +234,20 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
         # interleave at this one level; peel generators off the left
         out = _peel_invert(zeta, x)
     else:
-        out = ZERO
+        pieces = []
         for it in x.items:
             if isinstance(it, Element):
                 piece = _invert(zeta, it)
             else:
                 piece = _invert_letter(zeta, it)
             if piece is None:
-                out = None
+                pieces = None
                 break
-            out = add(out, piece)
-        if out is not None and x.omega:
+            pieces.append(piece)
+        if pieces is not None and x.omega:
             oi = _invert_omega(zeta, x.level - 1, x.omega)
-            out = None if oi is None else add(out, oi)
+            pieces = None if oi is None else pieces + [oi]
+        out = None if pieces is None else sum_elements(pieces)
     memo[x] = _NO_PREIMAGE if out is None else out
     return out
 

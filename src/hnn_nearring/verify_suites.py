@@ -167,16 +167,13 @@ def _gen(rng, config, variant, lvl, budget, sub=False) -> Element:
         else:
             pieces.append(_gen(rng, config, variant, rng.randint(0, lvl - 1),
                                sub_budget, sub=sub))
-    out = ZERO
-    for p in pieces:
-        out = wc.add(out, p)
-    return out
+    return wc.sum_elements(pieces)
 
 
-def _gen_letter(rng, config, variant, lvl, sub_budget) -> Element:
-    """A signed letter whose subscripts have equal sizes (mostly negation
-    pairs), so pushing coefficients through sampled words cannot grow
-    them geometrically."""
+def _gen_letter(rng, config, variant, lvl, sub_budget):
+    """A signed letter ``(sign, StableLetter)`` whose subscripts have equal
+    sizes (mostly negation pairs), so pushing coefficients through sampled
+    words cannot grow them geometrically."""
     alpha = _gen_exact(rng, config, variant, lvl - 1, sub_budget)
     beta = wc.neg(alpha)
     if rng.random() >= 0.8:
@@ -188,7 +185,7 @@ def _gen_letter(rng, config, variant, lvl, sub_budget) -> Element:
                 break
     if rng.random() < 0.5:
         alpha, beta = beta, alpha
-    return wc.make_stable(alpha, beta, rng.choice((1, -1)))
+    return rng.choice((1, -1)), wc._letter(alpha, beta)
 
 
 def _distinct_from(alpha: Element, variant: Variant) -> Element:

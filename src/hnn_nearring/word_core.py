@@ -125,6 +125,16 @@ def _join_variants(u: Optional[Variant], v: Optional[Variant]) -> Optional[Varia
 # Element representation
 # ---------------------------------------------------------------------------
 
+def _int_repr(n: int) -> str:
+    """``str(n)``, or ``hex(n)`` for an integer past
+    ``sys.get_int_max_str_digits()``, which ``str`` refuses: element
+    reprs never raise and stay distinct for distinct values."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
 class Element:
     """A canonical element of the tower group.
 
@@ -168,7 +178,7 @@ class IntChunk(Element):
         self.variant = variant
 
     def __repr__(self):
-        return str(self.n)
+        return _int_repr(self.n)
 
     def _size(self):
         return abs(self.n)
@@ -190,7 +200,7 @@ class WordChunk(Element):
         self.letters = letters
 
     def __repr__(self):
-        return "p(" + ",".join(map(str, self.letters)) + ")"
+        return "p(" + ",".join(map(_int_repr, self.letters)) + ")"
 
     def _size(self):
         return len(self.letters)
@@ -261,7 +271,7 @@ class Seq(Element):
                 else:
                     parts.append(("" if it[0] > 0 else "-") + repr(it[1]))
             if self.omega:
-                parts.append(f"{self.omega}w{self.level - 1}")
+                parts.append(f"{_int_repr(self.omega)}w{self.level - 1}")
             self._rp = "{" + "+".join(parts) + "}"
         return self._rp
 
@@ -432,6 +442,11 @@ def top_letter_count(a: Element, lvl: int) -> int:
     return 0
 
 
+#: stack marker of ``_fold``: the ``Seq`` below it has all its children
+#: in the memo
+_COMBINE = object()
+
+
 def _fold(x: Element, memo: dict, leaf, node):
     """Fold over the hereditary structure of nonzero ``x``, bottom up.
 
@@ -441,30 +456,31 @@ def _fold(x: Element, memo: dict, leaf, node):
     memoized per interned node in ``memo``, which the caller owns.  The
     walk is an explicit-stack post-order visiting children left to
     right, so depth costs no Python frames and a shared subterm is
-    folded once."""
+    folded once.  A ``Seq`` is expanded once: it goes back on the stack
+    with the marker ``_COMBINE`` above it and its missing children above
+    that, and is combined when the marker comes up again."""
     stack = [x]
     while stack:
         y = stack.pop()
+        if y is _COMBINE:
+            y = stack.pop()
+            memo[y] = node(y, memo)
+            continue
         if y in memo:
             continue
         if not isinstance(y, Seq):
             memo[y] = leaf(y)
             continue
-        todo = []
-        for it in y.items:
+        stack += (y, _COMBINE)
+        for it in reversed(y.items):
             if isinstance(it, Element):
                 if it not in memo:
-                    todo.append(it)
+                    stack.append(it)
             else:
-                if it[1].alpha not in memo:
-                    todo.append(it[1].alpha)
                 if it[1].beta not in memo:
-                    todo.append(it[1].beta)
-        if todo:
-            stack.append(y)
-            stack += reversed(todo)
-        else:
-            memo[y] = node(y, memo)
+                    stack.append(it[1].beta)
+                if it[1].alpha not in memo:
+                    stack.append(it[1].alpha)
     return memo[x]
 
 
@@ -583,15 +599,64 @@ def _add_above_base(a: Element, b: Element) -> Element:
 
 
 def sum_elements(pieces) -> Element:
-    """Ordered sum of many elements, folded pairwise so long chains cost
-    ``n log n`` normalizations instead of ``n**2``."""
-    items = [p for p in pieces if p is not ZERO]
-    if not items:
-        return ZERO
+    """Ordered sum of ``pieces`` in one normalization pass.
+
+    A piece is an element or a signed letter ``(sign, StableLetter)``.
+    Above the base the pieces are laid out as one syllable stream at the
+    highest level among them: a piece at that level gives its ``items``
+    and ``omega``, a lower element is one coefficient, and so is a lower
+    signed letter, through ``make_stable``.  A single ``_assemble`` then
+    normalizes the whole stream, so no partial sum at that level is built
+    or interned.  Base chunks, and a run of adjacent lower pieces, are
+    summed pairwise with ``add``: ``n`` of them copy about ``n log n``
+    syllables into partial sums, where a left fold would copy and intern
+    every prefix, about ``n**2 / 2``."""
+    pieces = [p for p in pieces if p is not ZERO]
+    lvl = -1
+    for p in pieces:
+        p_lvl = p.level if isinstance(p, Element) else p[1].level
+        if p_lvl > lvl:
+            lvl = p_lvl
+    if lvl <= 0:
+        return _sum_pairwise(pieces)
+    if len(pieces) == 1 and isinstance(pieces[0], Element):
+        return pieces[0]
+    v = None
+    items = []
+    omega = 0
+    run = []
+    for p in pieces:
+        if isinstance(p, Element):
+            v = _join_variants(v, p.variant)
+            if p.level < lvl:
+                run.append(p)
+                continue
+        else:
+            sign, lt = p
+            v = _join_variants(v, lt.variant)
+            if lt.level < lvl:
+                run.append(make_stable(lt.alpha, lt.beta, sign))
+                continue
+        if run:
+            items.append(_sum_pairwise(run))
+            run = []
+        if isinstance(p, Element):
+            items += p.items
+            omega += p.omega
+        else:
+            items.append(p)
+    if run:
+        items.append(_sum_pairwise(run))
+    return _assemble(lvl, items, omega, v)
+
+
+def _sum_pairwise(items) -> Element:
+    """Ordered sum of nonzero elements, added in pairs, then pairs of
+    pairs, so each element is copied into ``log n`` partial sums."""
     while len(items) > 1:
         items = [add(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
                  for i in range(0, len(items), 2)]
-    return items[0]
+    return items[0] if items else ZERO
 
 
 def neg(a: Element) -> Element:
@@ -773,7 +838,12 @@ def _walk_argmin(e: Element, a: Element, le: int, p: int) -> int:
     lvl = a.level
     cap = (2 * le) // p + 4
     cands = [(_metric(e, lvl), 0, e)]
-    for step, sgn in ((a, 1), (neg(a), -1)):
+    walks = [(a, 1)]
+    # the first -1 junction is read off a, so neg(a) is built only for a
+    # walk that takes at least one step
+    if not _joins_clean_neg(e, a, lvl):
+        walks.append((neg(a), -1))
+    for step, sgn in walks:
         x = e
         for k in range(1, cap + 1):
             if _joins_clean(x, step, lvl):
@@ -804,13 +874,39 @@ def _joins_clean(x: Element, y: Element, lvl: int) -> bool:
     if lvl == 0:
         return not (isinstance(x, WordChunk) and isinstance(y, WordChunk)
                     and x.letters[-1] == -y.letters[0])
-    if top_letter_count(x, lvl) == 0 or top_letter_count(y, lvl) == 0:
+    if top_letter_count(y, lvl) == 0:
         return True
     sign, lt = y.letters[0]
-    if x.letters[-1] != (-sign, lt):
+    return _letter_joins_clean(x, sign, lt, _head(y), lvl)
+
+
+def _joins_clean_neg(x: Element, a: Element, lvl: int) -> bool:
+    """``_joins_clean(x, neg(a), lvl)`` without building ``neg(a)``.
+
+    The first letter of ``-a`` inverts the last letter of ``a``, and the
+    coefficient in front of it is the coset representative of
+    ``neg(_tail(a))`` against the generator that letter splits against,
+    so both coefficients give the junction the same coset."""
+    if lvl == 0:
+        return not (isinstance(x, WordChunk) and isinstance(a, WordChunk)
+                    and x.letters[-1] == a.letters[-1])
+    if top_letter_count(a, lvl) == 0:
+        return True
+    sign, lt = a.letters[-1]
+    return _letter_joins_clean(x, -sign, lt, neg(_tail(a)), lvl)
+
+
+def _letter_joins_clean(x: Element, sign: int, lt: StableLetter, c0: Element,
+                        lvl: int) -> bool:
+    """Whether the last stage-``lvl`` letter of ``x``, if any, survives
+    when ``x`` is followed by the coefficient ``c0`` and the letter
+    ``(sign, lt)``: it pinches exactly when the two letters are inverse
+    and the junction coefficient lies in the cyclic subgroup
+    ``_assemble`` splits against."""
+    if top_letter_count(x, lvl) == 0 or x.letters[-1] != (-sign, lt):
         return True
     gen_in = lt.alpha if sign > 0 else lt.beta
-    c = add(_tail(x), _head(y))
+    c = add(_tail(x), c0)
     return c is not ZERO and _coset_split(c, gen_in)[0] is not ZERO
 
 

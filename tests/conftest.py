@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from hnn_nearring import (
     ZERO,
+    Element,
     Variant,
     add,
     make_int,
@@ -54,6 +55,35 @@ def elements(variant, max_level=2):
         return build()
 
     return st.recursive(base_elements(variant), extend, max_leaves=max_level + 2)
+
+
+def sum_pieces(variant, max_level=2):
+    """Lists of pieces for ``sum_elements``: elements of mixed levels,
+    zeros, ``om`` pieces under C, signed letters ``(sign, StableLetter)``
+    at and below the top level, and inverses of earlier pieces, which
+    make the stream pinch across piece boundaries."""
+    element = elements(variant, max_level)
+    pair = st.tuples(nonzero_elements(variant, max_level),
+                     nonzero_elements(variant, max_level), st.sampled_from([1, -1]))
+    letter = pair.filter(lambda p: p[0] is not p[1]).map(
+        lambda p: (p[2], make_stable(p[0], p[1]).letters[0][1]))
+    kinds = [element, letter, st.just(ZERO)]
+    if variant is Variant.C_INT_OMEGA_BASE:
+        kinds.append(st.builds(make_omega, st.integers(0, 2), st.sampled_from([1, -1, 2])))
+    piece = st.one_of(kinds)
+
+    @st.composite
+    def build(draw):
+        out = []
+        for _ in range(draw(st.integers(0, 6))):
+            if out and draw(st.integers(0, 3)) == 0:
+                p = draw(st.sampled_from(out))
+                out.append(neg(p) if isinstance(p, Element) else (-p[0], p[1]))
+            else:
+                out.append(draw(piece))
+        return out
+
+    return build()
 
 
 def _unit(variant):

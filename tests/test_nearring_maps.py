@@ -1,6 +1,8 @@
 """Embeddings, the product, the basis offset, inverse images and the
 invariant subgroups."""
 
+import math
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from hnn_nearring import (
     preimage_detail,
     scale,
 )
-from hnn_nearring import nearring_maps
+from hnn_nearring import nearring_maps, word_core
 from conftest import elements, nonzero_elements
 
 A = Variant.A_INT_BASE
@@ -76,6 +78,24 @@ class TestFEval:
 
     def test_basis_offset(self):
         assert f_eval(make_pi([1]), make_pi([2])) is make_pi([3])
+
+    @pytest.mark.parametrize("zeta_level", [0, 1])
+    def test_many_runs_copy_n_log_n_codes(self, zeta_level):
+        # a word of r alternating runs maps to r adjacent base pieces, below
+        # a level-1 zeta block too when the word starts with pi(0); added
+        # in pairs they intern about r log r codes, where a left fold
+        # interns every prefix of the image, about r**2 / 2 codes
+        r = 4000
+        i = 7 + 2 * zeta_level  # words of their own, not interned by the other case
+        x = scale(r // 2, add(make_pi([i]), make_pi([i + 1])))
+        if zeta_level:
+            zeta, x = make_stable(make_pi([0]), make_pi([1])), add(make_pi([0]), x)
+        else:
+            zeta = make_pi([1])
+        before = sum(map(len, word_core._WORD_CACHE))
+        image = f_eval(zeta, x)
+        assert level(image) == zeta_level
+        assert sum(map(len, word_core._WORD_CACHE)) - before < r * math.log2(r)
 
     def test_letter_mapping(self):
         one = make_int(1, A)
@@ -307,6 +327,15 @@ class TestKnownFaults:
         c = parse_element("-t[2,-2] + 1 + t[2,-2] + 6", C)
         om3, four = make_omega(3, 1), make_int(4, C)
         assert mul(mul(om3, four), c) is mul(om3, mul(four, c))
+
+    @pytest.mark.xfail(strict=True, reason="README Variant C: no om shift rule makes the "
+                       "product associative; this case fails on every run")
+    def test_omega_product_associates_deterministic(self):
+        # d has level 1 and 2*d = -2, so (om(0)*2)*d is om(1) while
+        # om(0)*(2*d) = om(0)*(-2) is om(0)
+        d = parse_element("-t[2,-2] + 1 + t[2,-2]", C)
+        om0, two = make_omega(0, 1), make_int(2, C)
+        assert mul(mul(om0, two), d) is mul(om0, mul(two, d))
 
     @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: preimage gives no_parse "
                        "when an image merges zeta-blocks with the integers beside them")

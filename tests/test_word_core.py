@@ -33,10 +33,11 @@ from hnn_nearring import (
     sample_element,
     scale,
     size,
+    sum_elements,
     top_letter_count,
 )
 from hnn_nearring import word_core
-from conftest import elements, load_script, nonzero_elements
+from conftest import elements, load_script, nonzero_elements, sum_pieces
 
 A = Variant.A_INT_BASE
 B = Variant.B_FREE_BASE
@@ -300,6 +301,65 @@ class TestCanonical:
         assert neg(add(a, b)) is add(neg(b), neg(a))
 
 
+class TestSumElements:
+    """``sum_elements`` normalizes the whole stream once; the answer is the
+    left fold of ``add``, a signed letter counting as its one-letter
+    element."""
+
+    @staticmethod
+    def fold(pieces):
+        out = ZERO
+        for p in pieces:
+            if not isinstance(p, word_core.Element):
+                p = make_stable(p[1].alpha, p[1].beta, p[0])
+            out = add(out, p)
+        return out
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_is_the_left_fold_of_add(self, variant):
+        @given(sum_pieces(variant))
+        @settings(max_examples=80, deadline=None)
+        def check(pieces):
+            assert sum_elements(pieces) is self.fold(pieces)
+
+        check()
+
+    def test_letters_and_zero_pieces(self):
+        one, two = make_int(1, A), make_int(2, A)
+        t = make_stable(one, two)
+        lt = t.letters[0][1]
+        assert sum_elements([]) is ZERO
+        assert sum_elements([ZERO, (1, lt), ZERO]) is t
+        # t - t cancels; 2 + t - 2 - t leaves the commutator's normal form
+        assert sum_elements([(1, lt), (-1, lt)]) is ZERO
+        assert sum_elements([two, (1, lt), neg(two), (-1, lt)]) is add(
+            add(add(two, t), neg(two)), neg(t))
+        # a letter below the top level is one coefficient
+        u = make_stable(t, two)
+        assert sum_elements([(1, lt), u]) is add(t, u)
+
+    def test_mixed_variants_rejected(self):
+        lt = make_stable(make_int(1, A), make_int(2, A)).letters[0][1]
+        with pytest.raises(VariantMismatch):
+            sum_elements([(1, lt), make_omega(0, 1)])
+
+
+class TestRepr:
+    """Element reprs never raise, also for integers past the interpreter's
+    digit limit, and stay distinct for distinct values;
+    ``normal_forms_seed7.txt`` pins them byte for byte on sampled
+    elements."""
+
+    def test_past_the_digit_limit(self):
+        huge = 10 ** (sys.get_int_max_str_digits() + 1)
+        n = make_int(huge, A)
+        assert repr(n) == hex(huge)
+        assert repr(make_int(huge + 1, A)) != repr(n)
+        assert repr(make_stable(make_int(1, A), n)) == f"{{t[1,{hex(huge)}]}}"
+        assert repr(make_omega(0, -huge)) == f"{{{hex(-huge)}w0}}"
+        assert repr(make_pi([huge])) == f"p({hex(huge + 1)})"
+
+
 class TestIdentityHashing:
     """Interned values hash by identity, so an element reached by two
     routes must be the very same dictionary key."""
@@ -467,6 +527,24 @@ class TestJoinsClean:
                 for x in (e, add(e, a), add(e, neg(a)), a, neg(a)):
                     for y in (a, neg(a)):
                         assert self.agrees(x, y, lvl), (i, lvl)
+                    assert (word_core._joins_clean_neg(x, a, lvl)
+                            is word_core._joins_clean(x, neg(a), lvl)), (i, lvl)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_neg_junction_read_off_a(self, variant):
+        # the walk tests its first -1 junction without building neg(a)
+        @given(elements(variant), elements(variant), elements(variant))
+        @settings(max_examples=80, deadline=None)
+        def check(x, a, b):
+            lvl = max(x.level, a.level, 0)
+            # x + a (+ b) ends in the last letter of a, which neg(a) starts
+            # by inverting, so the coefficient decides the junction
+            for y in (x, add(x, a), add(add(x, a), b)):
+                if y.level <= lvl:
+                    assert (word_core._joins_clean_neg(y, a, lvl)
+                            is word_core._joins_clean(y, neg(a), lvl))
+
+        check()
 
     def test_hand_built(self):
         one, two, three = (make_int(n, A) for n in (1, 2, 3))
