@@ -3,9 +3,10 @@
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
 the run by the size, hits and misses of every memoized library function,
-the size of every table the library keeps in a module-level dict and
-the peak resident set size of the process, so stdout and the reports
-stay identical from run to run.
+the size of every table the library keeps in a module-level dict, the
+number of cyclic-collector runs per generation and the peak resident
+set size of the process, so stdout and the reports stay identical from
+run to run.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -65,6 +66,8 @@ def main() -> int:
     for name, size, zetas in _table_stats():
         per_zeta = "" if zetas is None else f" zetas={zetas}"
         print(f"table {name} size={size}{per_zeta}", file=sys.stderr)
+    print("gc collections=" + "/".join(str(g["collections"]) for g in gc.get_stats()),
+          file=sys.stderr)
     # ru_maxrss is in KiB on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak_rss {peak_mb:.1f} MB", file=sys.stderr)

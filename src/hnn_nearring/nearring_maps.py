@@ -26,9 +26,11 @@ from .word_core import (
     WrongVariant,
     ZeroInput,
     _basis_runs,
+    _first_letter,
     _fold,
     _join_variants,
     _letter,
+    _signed,
     add,
     cyclic_reduce,
     make_int,
@@ -145,7 +147,7 @@ def f_eval(zeta: Element, x: Element) -> Element:
 
     def image_of_seq(s: Seq, images: dict) -> Element:
         pieces = [images[it] if isinstance(it, Element)
-                  else (it[0], _letter(images[it[1].alpha], images[it[1].beta]))
+                  else _signed(it[0], _letter(images[it[1].alpha], images[it[1].beta]))
                   for it in s.items]
         if s.omega:
             pieces.append(make_omega(zeta.level + s.level - 1, s.omega))
@@ -325,8 +327,8 @@ def _invert_atom(zeta: Element, mz: int, atom: Element) -> Optional[Element]:
         if idx <= mz:
             return None
         return make_pi([(idx - mz, 1 if code > 0 else -1)])
-    if isinstance(atom, Seq) and len(atom.letters) == 1:
-        return _invert_letter(zeta, atom.letters[0])
+    if isinstance(atom, Seq) and atom.n_letters == 1:
+        return _invert_letter(zeta, _first_letter(atom))
     return None
 
 

@@ -185,7 +185,7 @@ def _gen_letter(rng, config, variant, lvl, sub_budget):
                 break
     if rng.random() < 0.5:
         alpha, beta = beta, alpha
-    return rng.choice((1, -1)), wc._letter(alpha, beta)
+    return wc._signed(rng.choice((1, -1)), wc._letter(alpha, beta))
 
 
 def _distinct_from(alpha: Element, variant: Variant) -> Element:

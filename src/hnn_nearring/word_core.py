@@ -24,6 +24,8 @@ the hash: elements and letters define neither ``__eq__`` nor
 keys built from them hash and compare at C speed and memo tables keyed
 on operands cost O(1).  Hashes are then addresses, which differ between
 runs, so no output may depend on the iteration order of a set of them.
+Each value is stored once: a ``Seq`` is keyed on its own stream, and a
+signed letter is one of the two pairs its ``StableLetter`` owns.
 """
 
 from __future__ import annotations
@@ -207,9 +209,10 @@ class WordChunk(Element):
 
 
 class StableLetter:
-    """The letter ``t[alpha,beta]``, identified by its ordered subscript pair."""
+    """The letter ``t[alpha,beta]``, identified by its ordered subscript
+    pair; it owns the pairs ``(1, self)``, ``(-1, self)`` streams share."""
 
-    __slots__ = ("alpha", "beta", "level", "variant", "_sz")
+    __slots__ = ("alpha", "beta", "level", "variant", "_sz", "_pos", "_neg")
 
     def __init__(self, alpha: Element, beta: Element):
         self.alpha = alpha
@@ -217,6 +220,8 @@ class StableLetter:
         self.level = max(alpha.level, beta.level) + 1
         self.variant = _join_variants(alpha.variant, beta.variant)
         self._sz = 1 + alpha._size() + beta._size()
+        self._pos = (1, self)
+        self._neg = (-1, self)
 
     def __repr__(self):
         return f"t[{self.alpha!r},{self.beta!r}]"
@@ -226,39 +231,45 @@ class StableLetter:
 SignedLetter = Tuple[int, StableLetter]
 
 
+def _signed(sign: int, lt: StableLetter) -> SignedLetter:
+    """The shared pair ``(sign, lt)`` that streams hold for that letter."""
+    return lt._pos if sign > 0 else lt._neg
+
+
 class Seq(Element):
     """Leveled syllable stream ``c0 s1 c1 ... sk ck`` plus, under variant
     C, an integer coefficient of the central generator of this level
     (kept rightmost).
 
     ``items`` is the stream itself: the nonzero coefficients (elements of
-    lower level) and the signed letters ``(sign, StableLetter)`` in order,
-    zero coefficients left out.  ``letters`` holds the same letter pairs
-    without the coefficients.
+    lower level) and the shared signed letters ``(sign, StableLetter)`` in
+    order, zero coefficients left out; ``n_letters`` counts the letters.
+    No two coefficients are adjacent, so a ``Seq`` with letters has its
+    first at item 0 or 1 and its last at item -1 or -2.
 
     Invariants (enforced by the normalizer, assumed everywhere else):
     letters all have letter level equal to ``level``; coefficients live
     strictly below; no pinches; each coefficient in front of a letter is
-    the canonical representative of its coset; ``letters`` nonempty or
-    ``omega`` nonzero.
+    the canonical representative of its coset; at least one letter or a
+    nonzero ``omega``.
     """
 
-    __slots__ = ("level", "variant", "items", "letters", "omega", "_sz", "_rp")
+    __slots__ = ("level", "variant", "items", "n_letters", "omega", "_sz", "_rp")
 
     def __init__(self, lvl, variant, items, omega):
         self.level = lvl
         self.variant = variant
         self.items = items
         self.omega = omega
-        letters = []
+        n = 0
         sz = abs(omega)
         for it in items:
             if isinstance(it, Element):
                 sz += it._size()
             else:
-                letters.append(it)
+                n += 1
                 sz += it[1]._sz
-        self.letters = tuple(letters)
+        self.n_letters = n
         self._sz = sz
         self._rp = None
 
@@ -284,7 +295,9 @@ class Seq(Element):
 # makes that hold for what the tables return; setdefault keeps racing
 # constructors harmless under threads, where functools.cache would let
 # the second of two racing misses overwrite the first and hand out two
-# objects for one value
+# objects for one value.  A Seq without a central part is keyed on its
+# own items (its letters fix level and variant); one with it, on (level,
+# items, omega), which no items tuple equals, as none holds an int
 _INT_CACHE: dict = {}
 _WORD_CACHE: dict = {}
 _LETTER_CACHE: dict = {}
@@ -315,7 +328,7 @@ def _intern_letter(alpha, beta):
 
 
 def _intern_seq(lvl, variant, items, omega):
-    key = (lvl, variant, items, omega)
+    key = (lvl, items, omega) if omega else items
     el = _SEQ_CACHE.get(key)
     if el is None:
         el = _SEQ_CACHE.setdefault(key, Seq(lvl, variant, items, omega))
@@ -371,7 +384,7 @@ def make_stable(alpha: Element, beta: Element, sign: int = 1) -> Element:
     lt = _letter(alpha, beta)
     if sign not in (1, -1):
         raise EngineError("letter sign must be +1 or -1")
-    return _intern_seq(lt.level, lt.variant, ((sign, lt),), 0)
+    return _intern_seq(lt.level, lt.variant, (_signed(sign, lt),), 0)
 
 
 def _letter(alpha: Element, beta: Element) -> StableLetter:
@@ -438,8 +451,16 @@ def size(a: Element) -> int:
 def top_letter_count(a: Element, lvl: int) -> int:
     """Number of signed letters of ``a`` at stage ``lvl`` (0 if below)."""
     if isinstance(a, Seq) and a.level == lvl:
-        return len(a.letters)
+        return a.n_letters
     return 0
+
+
+def _first_letter(x: Seq) -> SignedLetter:
+    return x.items[1] if isinstance(x.items[0], Element) else x.items[0]
+
+
+def _last_letter(x: Seq) -> SignedLetter:
+    return x.items[-2] if isinstance(x.items[-1], Element) else x.items[-1]
 
 
 #: stack marker of ``_fold``: the ``Seq`` below it has all its children
@@ -524,13 +545,8 @@ def _tail(x: Seq) -> Element:
 def _neg_items(x: Seq) -> list:
     """The syllable stream of ``-x``: the stream of ``x`` reversed with
     every coefficient and letter inverted."""
-    rev = []
-    for it in reversed(x.items):
-        if isinstance(it, Element):
-            rev.append(neg(it))
-        else:
-            rev.append((-it[0], it[1]))
-    return rev
+    return [neg(it) if isinstance(it, Element) else _signed(-it[0], it[1])
+            for it in reversed(x.items)]
 
 
 def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
@@ -575,7 +591,8 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
 
 
 def add(a: Element, b: Element) -> Element:
-    """Group sum of two canonical elements, in canonical form."""
+    """Group sum of two canonical elements, in canonical form.  Zero is
+    variant-free, so ``add(add(1_A, -1_A), 5_C)`` is ``5_C`` by design."""
     if a is ZERO:
         return b
     if b is ZERO:
@@ -610,30 +627,30 @@ def sum_elements(pieces) -> Element:
     or interned.  Base chunks, and a run of adjacent lower pieces, are
     summed pairwise with ``add``: ``n`` of them copy about ``n log n``
     syllables into partial sums, where a left fold would copy and intern
-    every prefix, about ``n**2 / 2``."""
+    every prefix, about ``n**2 / 2``.  All pieces' variants are joined
+    first: a mixed sum raises ``VariantMismatch`` even where it cancels."""
     pieces = [p for p in pieces if p is not ZERO]
     lvl = -1
+    v = None
     for p in pieces:
-        p_lvl = p.level if isinstance(p, Element) else p[1].level
-        if p_lvl > lvl:
-            lvl = p_lvl
+        q = p if isinstance(p, Element) else p[1]
+        v = _join_variants(v, q.variant)
+        if q.level > lvl:
+            lvl = q.level
     if lvl <= 0:
         return _sum_pairwise(pieces)
     if len(pieces) == 1 and isinstance(pieces[0], Element):
         return pieces[0]
-    v = None
     items = []
     omega = 0
     run = []
     for p in pieces:
         if isinstance(p, Element):
-            v = _join_variants(v, p.variant)
             if p.level < lvl:
                 run.append(p)
                 continue
         else:
             sign, lt = p
-            v = _join_variants(v, lt.variant)
             if lt.level < lvl:
                 run.append(make_stable(lt.alpha, lt.beta, sign))
                 continue
@@ -644,7 +661,7 @@ def sum_elements(pieces) -> Element:
             items += p.items
             omega += p.omega
         else:
-            items.append(p)
+            items.append(_signed(sign, lt))
     if run:
         items.append(_sum_pairwise(run))
     return _assemble(lvl, items, omega, v)
@@ -753,7 +770,7 @@ def cyclic_reduce(a: Element):
             break
         first = _head(cur)
         if first is ZERO:
-            sign, lt = cur.letters[0]
+            sign, lt = _first_letter(cur)
             first = make_stable(lt.alpha, lt.beta, sign)
         cur = add(add(neg(first), cur), first)
         d = add(neg(first), d)
@@ -800,7 +817,7 @@ def _rep_shift(e: Element, a: Element) -> int:
         return _walk_argmin(e, a, len(e.letters) if isinstance(e, WordChunk) else 0,
                             len(a.letters))
     # a is a Seq
-    p = len(a.letters)
+    p = a.n_letters
     if a.variant is Variant.C_INT_OMEGA_BASE and p == 0:
         a_k = _head(a)
         if isinstance(e, Seq) and e.level == a.level:
@@ -816,7 +833,7 @@ def _rep_shift(e: Element, a: Element) -> int:
 
 
 def _k_part(e: Seq) -> Element:
-    if len(e.letters) == 0:
+    if e.n_letters == 0:
         return _head(e)
     if e.omega == 0:
         return e
@@ -876,7 +893,7 @@ def _joins_clean(x: Element, y: Element, lvl: int) -> bool:
                     and x.letters[-1] == -y.letters[0])
     if top_letter_count(y, lvl) == 0:
         return True
-    sign, lt = y.letters[0]
+    sign, lt = _first_letter(y)
     return _letter_joins_clean(x, sign, lt, _head(y), lvl)
 
 
@@ -892,7 +909,7 @@ def _joins_clean_neg(x: Element, a: Element, lvl: int) -> bool:
                     and x.letters[-1] == a.letters[-1])
     if top_letter_count(a, lvl) == 0:
         return True
-    sign, lt = a.letters[-1]
+    sign, lt = _last_letter(a)
     return _letter_joins_clean(x, -sign, lt, neg(_tail(a)), lvl)
 
 
@@ -903,7 +920,7 @@ def _letter_joins_clean(x: Element, sign: int, lt: StableLetter, c0: Element,
     ``(sign, lt)``: it pinches exactly when the two letters are inverse
     and the junction coefficient lies in the cyclic subgroup
     ``_assemble`` splits against."""
-    if top_letter_count(x, lvl) == 0 or x.letters[-1] != (-sign, lt):
+    if top_letter_count(x, lvl) == 0 or _last_letter(x) is not _signed(-sign, lt):
         return True
     gen_in = lt.alpha if sign > 0 else lt.beta
     c = add(_tail(x), c0)
@@ -963,10 +980,10 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
     # a is a Seq
     if not isinstance(h, Seq) or h.level != a.level:
         return None
-    p = len(a.letters)
+    p = a.n_letters
     if p == 0:
         a_k, a_m = _head(a), a.omega
-        if len(h.letters) != 0:
+        if h.n_letters != 0:
             return None
         h_k, h_m = _head(h), h.omega
         if a_k is ZERO:
@@ -980,9 +997,9 @@ def _power_of_core(h: Element, a: Element) -> Optional[int]:
         if k is not None and h_m == k * a_m:
             return k
         return None
-    if len(h.letters) % p:
+    if h.n_letters % p:
         return None
-    k0 = len(h.letters) // p
+    k0 = h.n_letters // p
     for k in (k0, -k0):
         if scale(k, a) is h:
             return k

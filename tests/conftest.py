@@ -66,7 +66,7 @@ def sum_pieces(variant, max_level=2):
     pair = st.tuples(nonzero_elements(variant, max_level),
                      nonzero_elements(variant, max_level), st.sampled_from([1, -1]))
     letter = pair.filter(lambda p: p[0] is not p[1]).map(
-        lambda p: (p[2], make_stable(p[0], p[1]).letters[0][1]))
+        lambda p: (p[2], make_stable(p[0], p[1]).items[0][1]))
     kinds = [element, letter, st.just(ZERO)]
     if variant is Variant.C_INT_OMEGA_BASE:
         kinds.append(st.builds(make_omega, st.integers(0, 2), st.sampled_from([1, -1, 2])))

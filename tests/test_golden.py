@@ -56,8 +56,8 @@ def test_run_suites_times_on_stderr_only():
          "--seed", "7", "--count", "3", "--depth", "1"],
         capture_output=True, text=True, env=env, timeout=120)
     lines = proc.stderr.splitlines()
-    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-8]
-    tables, peak_rss = lines[-8:-1], lines[-1]
+    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-9]
+    tables, collections, peak_rss = lines[-9:-2], lines[-2], lines[-1]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
     # then one line per memoized library function, after the run
     assert [line.split()[1] for line in memos] == [
@@ -74,9 +74,12 @@ def test_run_suites_times_on_stderr_only():
     assert all(re.fullmatch(r"table \S+ size=[1-9]\d* zetas=[1-9]\d*", line)
                for line in tables[:2])
     assert all(re.fullmatch(r"table \S+ size=[1-9]\d*", line) for line in tables[2:])
-    # and last the peak resident set size of the process
+    # then the collector runs per generation, and last the peak resident
+    # set size of the process
+    assert re.fullmatch(r"gc collections=\d+/\d+/\d+", collections)
     assert re.fullmatch(r"peak_rss [1-9]\d*\.\d MB", peak_rss)
-    assert not any(word in proc.stdout for word in ("cases/s", "memo ", "table ", "peak_rss"))
+    assert not any(word in proc.stdout
+                   for word in ("cases/s", "memo ", "table ", "gc ", "peak_rss"))
     assert len([ln for ln in proc.stdout.splitlines() if ln.startswith(("PASS", "FAIL"))]) == len(PAIRS)
 
 

@@ -327,7 +327,7 @@ class TestSumElements:
     def test_letters_and_zero_pieces(self):
         one, two = make_int(1, A), make_int(2, A)
         t = make_stable(one, two)
-        lt = t.letters[0][1]
+        lt = t.items[0][1]
         assert sum_elements([]) is ZERO
         assert sum_elements([ZERO, (1, lt), ZERO]) is t
         # t - t cancels; 2 + t - 2 - t leaves the commutator's normal form
@@ -339,9 +339,17 @@ class TestSumElements:
         assert sum_elements([(1, lt), u]) is add(t, u)
 
     def test_mixed_variants_rejected(self):
-        lt = make_stable(make_int(1, A), make_int(2, A)).letters[0][1]
+        lt = make_stable(make_int(1, A), make_int(2, A)).items[0][1]
         with pytest.raises(VariantMismatch):
             sum_elements([(1, lt), make_omega(0, 1)])
+
+    def test_mixed_variants_rejected_where_they_cancel(self):
+        # zero is variant-free, so add lets 1 - 1 + 5 mix; sum_elements
+        # joins the variants of all its pieces before adding any
+        pieces = [make_int(1, A), make_int(-1, A), make_int(5, C)]
+        assert add(add(pieces[0], pieces[1]), pieces[2]) is make_int(5, C)
+        with pytest.raises(VariantMismatch):
+            sum_elements(pieces)
 
 
 class TestRepr:
@@ -358,6 +366,66 @@ class TestRepr:
         assert repr(make_stable(make_int(1, A), n)) == f"{{t[1,{hex(huge)}]}}"
         assert repr(make_omega(0, -huge)) == f"{{{hex(-huge)}w0}}"
         assert repr(make_pi([huge])) == f"p({hex(huge + 1)})"
+
+
+def _reachable_seqs(x):
+    """Every ``Seq`` in the hereditary structure of ``x``, ``x`` included."""
+    seen, stack = {}, [x]
+    while stack:
+        y = stack.pop()
+        if not isinstance(y, Seq) or y in seen:
+            continue
+        seen[y] = None
+        for it in y.items:
+            stack += [it] if isinstance(it, word_core.Element) else [it[1].alpha, it[1].beta]
+    return list(seen)
+
+
+class TestSharing:
+    """Interning stores each value once: a stream holds the shared pair
+    of each signed letter, and a ``Seq`` without a central part is keyed
+    on its own ``items`` tuple."""
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_signed_letters_are_shared_pairs(self, variant):
+        @given(elements(variant), elements(variant))
+        @settings(max_examples=40, deadline=None)
+        def check(a, b):
+            for s in _reachable_seqs(add(a, neg(b))):
+                letters = [it for it in s.items if not isinstance(it, word_core.Element)]
+                assert len(letters) == s.n_letters
+                assert all(it is word_core._signed(it[0], it[1]) for it in letters)
+
+        check()
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_seq_is_keyed_on_its_items(self, variant):
+        @given(elements(variant))
+        @settings(max_examples=20, deadline=None)
+        def check(a):
+            seqs = [s for s in _reachable_seqs(a) if s.omega == 0]
+            keys = {id(k): k for k in word_core._SEQ_CACHE}
+            for s in seqs:
+                assert s.n_letters > 0 and not hasattr(s, "letters")
+                assert keys[id(s.items)] is s.items
+                assert word_core._SEQ_CACHE[s.items] is s
+
+        check()
+        for key, s in word_core._SEQ_CACHE.items():
+            assert key is s.items if s.omega == 0 else key == (s.level, s.items, s.omega)
+
+    @given(nonzero_elements(C), st.sampled_from([1, -1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_central_parts_keep_their_own_keys(self, a, m):
+        for s in _reachable_seqs(a):
+            om = make_omega(s.level - 1, m)
+            both = add(s, om) if s.omega == 0 else s
+            if s.omega == 0:
+                assert both is not s and both.items == s.items and both.omega == m
+                assert word_core._SEQ_CACHE[s.items] is s
+            assert word_core._SEQ_CACHE[(both.level, both.items, both.omega)] is both
+            assert om.items == () and word_core._SEQ_CACHE[(s.level, (), m)] is om
+            assert om is not make_omega(s.level, m)
 
 
 class TestIdentityHashing:
@@ -434,7 +502,7 @@ class TestMemos:
         # with a zero coefficient; neg(t) and the junction t - t likewise
         s = word_core._add_above_base.__wrapped__(t, five)
         assert s.items == (t.items[0], five)
-        assert neg(t).items == ((-1, t.letters[0][1]),)
+        assert neg(t).items == ((-1, t.items[0][1]),)
         assert not word_core._joins_clean(t, neg(t), 1)
         assert _memo_sizes() == before
 
