@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("member", help="invariant subgroup membership")
     add_variant(p)
     p.add_argument("--subgroup", required=True, choices=["W", "H"])
-    p.add_argument("--zeta", help="index of the image subgroup (H only; "
-                                  "defaults to om(0) under variant C)")
+    p.add_argument("--zeta", help="index of the image subgroup (H only, an error "
+                                  "with W; defaults to om(0) under variant C)")
     p.add_argument("expr")
 
     p = sub.add_parser("check", help="run a verification suite")
@@ -164,6 +164,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             print(render(nr.f_eval(zeta, x)))
             return 0
         if args.command == "member":
+            if args.subgroup == "W" and args.zeta is not None:
+                raise EngineError("member --subgroup W takes no --zeta")
             x = parse_element(args.expr, variant)
             if args.subgroup == "W":
                 print("true" if nr.in_w(x) else "false")
@@ -210,8 +212,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the inverse-image search and the engine's add and coset walk
-        # still recurse per letter level
+        # the engine's add and coset walk still recurse per letter level
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
     parser.error(f"unhandled command {args.command}")

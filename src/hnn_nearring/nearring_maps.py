@@ -208,58 +208,55 @@ def _scalar_preimage(k: int, variant: Variant) -> Element:
 
 
 #: zeta -> {x: candidate inverse image of x under the embedding attached
-#: to zeta, or _NO_PREIMAGE}; plain dicts looked up and filled inside
-#: ``_invert``'s own body, because a memo wrapper (functools.cache or a
-#: thin function around a dict) adds a Python frame per level of the
-#: recursion and lowers the nesting ``in_h`` reaches
+#: to zeta, or None when the greedy parse finds none}; plain dicts,
+#: because ``_fold`` reads the children's inverse images out of them
 _INV_CACHE: dict = {}
-_NO_PREIMAGE = object()
 
 
 def _invert(zeta: Element, x: Element) -> Optional[Element]:
+    """Candidate inverse image of ``x`` under the embedding attached to
+    ``zeta``, or None, folded bottom up into ``_INV_CACHE``.  The peel at
+    the level of ``zeta`` may invert letter subscripts by a nested fold
+    on the same memo; those sit below that level, so it never peels."""
     if x is ZERO:
         return ZERO
-    memo = _INV_CACHE.setdefault(zeta, {})
-    hit = memo.get(x)
-    if hit is not None:
-        return None if hit is _NO_PREIMAGE else hit
-    k = power_of(x, zeta)
-    if k is not None:
-        out = _scalar_preimage(k, zeta.variant)
-    elif isinstance(x, IntChunk):
-        out = None
-    elif isinstance(x, WordChunk):
-        out = _invert_word(zeta, x)
-    elif (zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
-            and x.level == zeta.level):
-        # blocks spelling powers of zeta and images of basis letters can
-        # interleave at this one level; peel generators off the left
-        out = _peel_invert(zeta, x)
-    else:
+    peel = zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
+
+    def step(y: Element, memo: Optional[dict] = None) -> Optional[Element]:
+        # both the leaf and the node of the fold: a Seq comes with the memo
+        # holding the inverse images of its children
+        k = power_of(y, zeta)
+        if k is not None:
+            return _scalar_preimage(k, zeta.variant)
+        if isinstance(y, IntChunk):
+            return None
+        if isinstance(y, WordChunk):
+            return _invert_word(zeta, y)
+        if peel and y.level == zeta.level:
+            # blocks spelling powers of zeta and images of basis letters can
+            # interleave at this one level; peel generators off the left
+            return _peel_invert(zeta, y)
         pieces = []
-        for it in x.items:
-            if isinstance(it, Element):
-                piece = _invert(zeta, it)
-            else:
-                piece = _invert_letter(zeta, it)
+        for it in y.items:
+            piece = (memo[it] if isinstance(it, Element)
+                     else _letter_over(it[0], memo[it[1].alpha], memo[it[1].beta]))
             if piece is None:
-                pieces = None
-                break
+                return None
             pieces.append(piece)
-        if pieces is not None and x.omega:
-            oi = _invert_omega(zeta, x.level - 1, x.omega)
-            pieces = None if oi is None else pieces + [oi]
-        out = None if pieces is None else sum_elements(pieces)
-    memo[x] = _NO_PREIMAGE if out is None else out
-    return out
+        if y.omega:
+            piece = _invert_omega(zeta, y.level - 1, y.omega)
+            if piece is None:
+                return None
+            pieces.append(piece)
+        return sum_elements(pieces)
+
+    return _fold(x, _INV_CACHE.setdefault(zeta, {}), step, step)
 
 
-def _invert_letter(zeta: Element, signed) -> Optional[Element]:
-    """Inverse image of the signed letter ``(sign, t[a,b])``: the letter
-    over the inverse images of ``a`` and ``b``, if both exist and differ."""
-    sign, lt = signed
-    ai = _invert(zeta, lt.alpha)
-    bi = _invert(zeta, lt.beta)
+def _letter_over(sign: int, ai: Optional[Element],
+                 bi: Optional[Element]) -> Optional[Element]:
+    """Inverse image of a signed letter whose subscripts have the inverse
+    images ``ai`` and ``bi``: the letter over them, if both exist and differ."""
     if ai is None or bi is None:
         return None
     try:
@@ -328,7 +325,8 @@ def _invert_atom(zeta: Element, mz: int, atom: Element) -> Optional[Element]:
             return None
         return make_pi([(idx - mz, 1 if code > 0 else -1)])
     if isinstance(atom, Seq) and atom.n_letters == 1:
-        return _invert_letter(zeta, _first_letter(atom))
+        sign, lt = _first_letter(atom)
+        return _letter_over(sign, _invert(zeta, lt.alpha), _invert(zeta, lt.beta))
     return None
 
 

@@ -279,8 +279,10 @@ class TestCli:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize("args", [
-        ["member", "--variant", "C", "--subgroup", "H", _tower(800)],  # the inverse image
-    ], ids=["member-H-800"])
+        # a sum of towers 400, 399, ..., 1 levels deep: add meets each
+        # coefficient through _assemble, one chain of frames per level
+        ["eval", "--variant", "A", " + ".join(_tower(k) for k in range(400, 0, -1))],
+    ], ids=["eval-staircase-400"])
     def test_deep_nesting_is_a_usage_error(self, args, capsys):
         assert run_cli(args) == 2
         captured = capsys.readouterr()
@@ -294,7 +296,9 @@ class TestCli:
          "true"),
         (["eval", "--variant", "A", _tower(800)], _tower(800)),
         (["apply", "--variant", "A", "--zeta=" + _tower(300), _tower(300)], None),
-    ], ids=["eval-450", "apply-200", "member-W-450", "eval-800", "apply-300"])
+        (["member", "--variant", "C", "--subgroup", "H", _tower(800)], "false"),
+    ], ids=["eval-450", "apply-200", "member-W-450", "eval-800", "apply-300",
+            "member-H-800"])
     def test_moderate_nesting_evaluates(self, args, out, capsys):
         # the parser, the renderer and the structural walks run on explicit
         # stacks; a walk that recursed per level would fail here
@@ -314,17 +318,18 @@ class TestCli:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == tower + "\n"
 
-    def test_python_dash_m_member_H_of_a_450_level_tower(self):
-        # the inverse-image search recurses twice per level and reaches
-        # about 490 levels under the default recursion limit; a memo that
-        # put one more Python frame on each level would stop it near 330
+    @pytest.mark.parametrize("args, out", [
+        (["--variant", "C", _tower(10_000)], "false"),
+        (["--variant", "B", "--zeta", "t[pi(0),pi(1)]", _tower(10_000, "pi(2)", "pi(3)")],
+         "true"),
+    ], ids=["C", "B-level-1-zeta"])
+    def test_python_dash_m_member_H_of_a_10000_level_tower(self, args, out):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         proc = subprocess.run(
-            [sys.executable, "-m", "hnn_nearring", "member", "--variant", "C",
-             "--subgroup", "H", _tower(450)],
+            [sys.executable, "-m", "hnn_nearring", "member", "--subgroup", "H", *args],
             capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "false\n")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out + "\n")
 
     def test_oversized_result_is_a_usage_error(self, capsys):
         # the product of two 2,000-level towers renders to about 4e7 characters
@@ -362,7 +367,10 @@ class TestCli:
         ["member", "--variant", "B", "--subgroup", "H", "pi(1)"],
         # an engine error in a complete prefix may come before a later syntax error
         ["eval", "--variant", "A", "t[1,1] 2"],
-    ], ids=["member-H-A", "member-H-B", "engine-error-before-syntax-error"])
+        ["member", "--variant", "B", "--subgroup", "W", "--zeta", "pi(1)", "pi(1)"],
+        ["member", "--variant", "B", "--subgroup", "W", "--zeta=((", "pi(1)"],
+    ], ids=["member-H-A", "member-H-B", "engine-error-before-syntax-error",
+            "member-W-zeta", "member-W-malformed-zeta"])
     def test_errors_carry_the_prefix(self, args, capsys):
         assert run_cli(args) == 2
         captured = capsys.readouterr()

@@ -66,6 +66,21 @@ class TestTenThousandLevels:
         assert in_w(_tower(10_000, pi1, pi2))
         assert not in_w(_tower(10_000, pi0, pi2))
 
+    @pytest.mark.parametrize("variant, z, a, b", [
+        (A, "3", "1", "2"),
+        (C, "om(0)", "1", "2"),
+        # the image of a sits at the level of z: the greedy peel, which
+        # inverts the subscripts of the letter t[pi(2),pi(3)] on its own
+        (B, "t[pi(0),pi(1)]", "t[pi(1),pi(2)] + pi(0)", "pi(1)"),
+        (B, "pi(1)", "pi(0)", "pi(1)"),
+    ], ids=["A-3", "C-om0", "B-peel", "B-pi1"])
+    def test_preimage_and_in_h(self, variant, z, a, b):
+        z = parse_element(z, variant)
+        x = _tower(10_000, parse_element(a, variant), parse_element(b, variant))
+        assert preimage(z, f_eval(z, x)) is x
+        if variant is not B:
+            assert not in_h(z, x)  # the base element 1 is no image
+
 
 class TestFEval:
     def test_integer_scaling(self):

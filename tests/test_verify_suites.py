@@ -222,8 +222,9 @@ class TestRecordTypes:
 
 class TestMemos:
     """The two samplers are ``functools.cache`` functions, and ``_invert``
-    keeps its answers in ``_INV_CACHE``; a memo may change the cost of a
-    run, never its elements or its report bytes."""
+    folds into ``_INV_CACHE``, where ``None`` stands for no inverse image;
+    a memo may change the cost of a run, never its elements or its report
+    bytes."""
 
     SAMPLERS = (sample_element, sample_nonzero)
 
@@ -276,9 +277,9 @@ class TestMemos:
             assert write_report(report) == path.read_bytes()
 
     def test_inverse_memo_repeats_the_cold_answer(self):
-        # the memo stores a missing inverse image as a sentinel and hands
-        # it back as None, so a warm search gives the cold reason, no_parse
-        # included (the merged-block pair of TestKnownFaults)
+        # the memo stores a missing inverse image as None, so a warm search
+        # gives the cold reason, no_parse included (the merged-block pair of
+        # TestKnownFaults)
         cfg = SampleConfig(seed=109, count=0, max_level=3)
         cases = [(parse_element("t[-2,2] + 1 + -t[-2,2]", v),
                   parse_element("t[-3,3] + -t[2,-2] + 5", v)) for v in (A, C)]
@@ -291,4 +292,4 @@ class TestMemos:
         warm = [preimage_detail(z, x) for (z, _), x in zip(cases, xs)]
         assert warm == cold
         stored = nearring_maps._INV_CACHE[cases[0][0]][xs[0]]
-        assert cold[0].reason == "no_parse" and stored is nearring_maps._NO_PREIMAGE
+        assert cold[0].reason == "no_parse" and stored is None
