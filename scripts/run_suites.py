@@ -6,7 +6,8 @@ the run by the size, hits and misses of every memoized library function,
 the size of every table the library keeps in a module-level dict, the
 number of cyclic-collector runs per generation and the peak resident
 set size of the process, so stdout and the reports stay identical from
-run to run.
+run to run.  A suite that meets an engine error (an element too large to
+materialize) ends the run with one ``error:`` line and exit status 2.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -20,7 +21,8 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hnn_nearring import SEED_LIMIT, SUITES, SampleConfig, Variant, write_report  # noqa: E402
+from hnn_nearring import (  # noqa: E402
+    SEED_LIMIT, SUITES, EngineError, SampleConfig, Variant, write_report)
 from hnn_nearring.cli_io import GC_THRESHOLD, int_at_least  # noqa: E402
 
 
@@ -44,7 +46,11 @@ def main() -> int:
         for tag in tags:
             variant = Variant(tag)
             start = time.perf_counter()
-            report = runner(variant, config)
+            try:
+                report = runner(variant, config)
+            except EngineError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             elapsed = time.perf_counter() - start
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"

@@ -12,7 +12,7 @@ the embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .word_core import (
     ZERO,
@@ -21,6 +21,7 @@ from .word_core import (
     EngineError,
     IntChunk,
     Seq,
+    SignedLetter,
     Variant,
     WordChunk,
     WrongVariant,
@@ -254,13 +255,14 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
 
 
 def _letter_over(sign: int, ai: Optional[Element],
-                 bi: Optional[Element]) -> Optional[Element]:
+                 bi: Optional[Element]) -> Optional[SignedLetter]:
     """Inverse image of a signed letter whose subscripts have the inverse
-    images ``ai`` and ``bi``: the letter over them, if both exist and differ."""
+    images ``ai`` and ``bi``: the shared signed letter over them, a piece
+    for ``sum_elements``, if both exist and differ."""
     if ai is None or bi is None:
         return None
     try:
-        return make_stable(ai, bi, sign)
+        return _signed(sign, _letter(ai, bi))
     except DegeneratePair:
         return None
 
@@ -317,7 +319,8 @@ def _leftmost_atom(v: Element) -> Element:
     return v
 
 
-def _invert_atom(zeta: Element, mz: int, atom: Element) -> Optional[Element]:
+def _invert_atom(zeta: Element, mz: int,
+                 atom: Element) -> Optional[Union[Element, SignedLetter]]:
     if isinstance(atom, WordChunk):
         code = atom.letters[0]
         idx = abs(code) - 1

@@ -597,18 +597,11 @@ def add(a: Element, b: Element) -> Element:
         return b
     if b is ZERO:
         return a
+    v = _join_variants(a.variant, b.variant)
     if a.level == 0 and b.level == 0:
-        v = _join_variants(a.variant, b.variant)
         if v is Variant.B_FREE_BASE:
             return _word_from(_reduce_word_letters(list(a.letters) + list(b.letters)))
         return make_int(a.n + b.n, v)
-    return _add_above_base(a, b)
-
-
-# zero operands and base sums stay out of this memo: add answers them first
-@functools.cache
-def _add_above_base(a: Element, b: Element) -> Element:
-    v = _join_variants(a.variant, b.variant)
     lvl = a.level if a.level >= b.level else b.level
     ia, oa = _items_of(a, lvl)
     ib, ob = _items_of(b, lvl)
@@ -937,70 +930,20 @@ def _metric(x: Element, lvl: int) -> int:
 # Power membership
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def power_of(g: Element, alpha: Element) -> Optional[int]:
     """Exact decision of ``g = k*alpha``: returns the integer ``k`` when it
     exists (0 exactly for ``g`` zero), ``None`` otherwise.
 
-    Conjugating by the shell of ``alpha`` reduces the question to a
-    cyclically reduced core, where the exponent can be read off from
-    base arithmetic or from top-level letter counts."""
+    ``g`` is a multiple of ``alpha`` exactly when its coset of
+    ``<alpha>`` is the subgroup itself, whose representative is zero: the
+    same test ``_assemble`` makes for a pinch.  No nonzero multiple lies
+    above the level of ``alpha``."""
     if alpha is ZERO:
         raise ZeroAlpha("power membership needs a nonzero generator")
     _join_variants(g.variant, alpha.variant)
     if g is ZERO:
         return 0
-    d, core = cyclic_reduce(alpha)
-    if d is ZERO:
-        h = g
-    else:
-        h = add(add(d, g), neg(d))
-    return _power_of_core(h, core)
-
-
-def _power_of_core(h: Element, a: Element) -> Optional[int]:
-    if h is ZERO:
-        return 0
-    if isinstance(a, IntChunk):
-        if isinstance(h, IntChunk) and h.n % a.n == 0:
-            return h.n // a.n
+    if g.level > alpha.level:
         return None
-    if isinstance(a, WordChunk):
-        if not isinstance(h, WordChunk):
-            return None
-        la, lh = len(a.letters), len(h.letters)
-        if lh % la:
-            return None
-        k = lh // la
-        if h.letters == a.letters * k:
-            return k
-        if h.letters == tuple(-c for c in reversed(a.letters)) * k:
-            return -k
-        return None
-    # a is a Seq
-    if not isinstance(h, Seq) or h.level != a.level:
-        return None
-    p = a.n_letters
-    if p == 0:
-        a_k, a_m = _head(a), a.omega
-        if h.n_letters != 0:
-            return None
-        h_k, h_m = _head(h), h.omega
-        if a_k is ZERO:
-            if h_k is not ZERO:
-                return None
-            q, r = divmod(h_m, a_m)
-            return q if r == 0 else None
-        # a nonzero h with no k-part is no multiple of an a that has one;
-        # answering it here keeps zero out of the power_of memo
-        k = power_of(h_k, a_k) if h_k is not ZERO else None
-        if k is not None and h_m == k * a_m:
-            return k
-        return None
-    if h.n_letters % p:
-        return None
-    k0 = h.n_letters // p
-    for k in (k0, -k0):
-        if scale(k, a) is h:
-            return k
-    return None
+    r, j = _coset_split(g, alpha)
+    return j if r is ZERO else None

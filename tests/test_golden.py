@@ -62,8 +62,7 @@ def test_run_suites_times_on_stderr_only():
     # then one line per memoized library function, after the run
     assert [line.split()[1] for line in memos] == [
         "verify_suites.sample_element", "verify_suites.sample_nonzero",
-        "word_core._add_above_base", "word_core._coset_split",
-        "word_core.cyclic_reduce", "word_core.power_of"]
+        "word_core._coset_split", "word_core.cyclic_reduce"]
     assert all(re.fullmatch(r"memo \S+ size=\d+ hits=\d+ misses=\d+", line)
                for line in memos)
     # then one line per dict table; the per-zeta tables count their zetas
@@ -92,6 +91,17 @@ def test_run_suites_unwritable_json_dir_is_a_usage_error(tmp_path, monkeypatch, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write report {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_suites_engine_error_is_a_usage_error(monkeypatch, capsys):
+    # at depth 8 the axioms suite meets an element too large to materialize
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--seed", "3", "--count", "60",
+                                      "--depth", "8"])
+    assert run_suites.main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: refusing to materialize ")
     assert captured.err.count("\n") == 1
 
 

@@ -55,6 +55,11 @@ def _tower(levels, a="1", b="2"):
     return text
 
 
+def _staircase(levels):
+    """The sum of towers ``levels``, ``levels - 1``, ..., 1 letters deep."""
+    return " + ".join(_tower(k) for k in range(levels, 0, -1))
+
+
 class TestParse:
     def test_relation_example(self):
         e = parse_element("-t[1,2] + 1 + t[1,2]", A)
@@ -279,10 +284,10 @@ class TestCli:
         assert proc.stderr == ""
 
     @pytest.mark.parametrize("args", [
-        # a sum of towers 400, 399, ..., 1 levels deep: add meets each
+        # a sum of towers 600, 599, ..., 1 levels deep: add meets each
         # coefficient through _assemble, one chain of frames per level
-        ["eval", "--variant", "A", " + ".join(_tower(k) for k in range(400, 0, -1))],
-    ], ids=["eval-staircase-400"])
+        ["eval", "--variant", "A", _staircase(600)],
+    ], ids=["eval-staircase-600"])
     def test_deep_nesting_is_a_usage_error(self, args, capsys):
         assert run_cli(args) == 2
         captured = capsys.readouterr()
@@ -297,8 +302,9 @@ class TestCli:
         (["eval", "--variant", "A", _tower(800)], _tower(800)),
         (["apply", "--variant", "A", "--zeta=" + _tower(300), _tower(300)], None),
         (["member", "--variant", "C", "--subgroup", "H", _tower(800)], "false"),
+        (["eval", "--variant", "A", _staircase(400)], None),
     ], ids=["eval-450", "apply-200", "member-W-450", "eval-800", "apply-300",
-            "member-H-800"])
+            "member-H-800", "eval-staircase-400"])
     def test_moderate_nesting_evaluates(self, args, out, capsys):
         # the parser, the renderer and the structural walks run on explicit
         # stacks; a walk that recursed per level would fail here

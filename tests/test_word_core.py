@@ -22,13 +22,16 @@ from hnn_nearring import (
     conjugator,
     cyclic_reduce,
     equal,
+    f_eval,
     level,
     make_int,
     make_omega,
     make_pi,
     make_stable,
     neg,
+    parse_element,
     power_of,
+    preimage,
     renormalize,
     sample_element,
     scale,
@@ -36,7 +39,7 @@ from hnn_nearring import (
     sum_elements,
     top_letter_count,
 )
-from hnn_nearring import word_core
+from hnn_nearring import nearring_maps, word_core
 from conftest import elements, load_script, nonzero_elements, sum_pieces
 
 A = Variant.A_INT_BASE
@@ -215,14 +218,33 @@ class TestPowerOf:
         assert power_of(g, a) == 2
         assert power_of(add(g, make_omega(0, 1)), a) is None
 
-    @given(nonzero_elements(A), st.integers(-6, 6))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_repeated_addition(self, a, k):
-        g = ZERO
-        step = a if k >= 0 else neg(a)
-        for _ in range(abs(k)):
-            g = add(g, step)
-        assert power_of(g, a) == k
+    def test_multiples_below_the_level_of_alpha(self):
+        # 2*alpha pinches down to the base: -t[2,7] + 2 + t[2,7] = 7
+        t = make_stable(make_int(2, A), make_int(7, A))
+        alpha = add(add(neg(t), make_int(1, A)), t)
+        assert alpha.level == 1
+        assert power_of(make_int(7, A), alpha) == 2
+        assert power_of(make_int(-7, A), alpha) == -2
+        assert power_of(make_int(3, A), alpha) is None
+
+    def test_above_the_level_of_alpha(self):
+        alpha = make_int(2, A)
+        t = make_stable(alpha, make_int(4, A))
+        assert power_of(t, alpha) is None
+        assert power_of(add(t, scale(2, alpha)), alpha) is None
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_matches_repeated_addition(self, variant):
+        @given(nonzero_elements(variant), st.integers(-6, 6))
+        @settings(max_examples=80, deadline=None)
+        def check(a, k):
+            g = ZERO
+            step = a if k >= 0 else neg(a)
+            for _ in range(abs(k)):
+                g = add(g, step)
+            assert power_of(g, a) == k
+
+        check()
 
 
 class TestScale:
@@ -427,6 +449,17 @@ class TestSharing:
             assert om.items == () and word_core._SEQ_CACHE[(s.level, (), m)] is om
             assert om is not make_omega(s.level, m)
 
+    def test_inverse_letters_are_shared_pairs(self):
+        # the inverse image of a letter enters the sum as its shared pair,
+        # so inverting f_3(t[202,206] + 10) interns no one-letter
+        # t[202,206]; the subscripts keep other tests from interning it first
+        x = f_eval(make_int(2, A), parse_element("t[101,103] + 5", A))
+        f = f_eval(make_int(3, A), x)
+        nearring_maps._INV_CACHE.clear()
+        before = len(word_core._SEQ_CACHE)
+        assert preimage(make_int(3, A), f) is x
+        assert len(word_core._SEQ_CACHE) == before
+
 
 class TestIdentityHashing:
     """Interned values hash by identity, so an element reached by two
@@ -466,12 +499,11 @@ def _memo_sizes():
 
 
 class TestMemos:
-    """``add`` above the base, the coset split, cyclic reduction and power
-    membership are memoized by ``functools.cache``; interning is not."""
+    """The coset split and cyclic reduction are memoized by
+    ``functools.cache``; ``add``, power membership and interning are not."""
 
     def test_memoized_functions(self):
-        assert {fn.__name__ for fn in MEMOS} == {
-            "_add_above_base", "_coset_split", "cyclic_reduce", "power_of"}
+        assert {fn.__name__ for fn in MEMOS} == {"_coset_split", "cyclic_reduce"}
 
     def test_cache_clear_recomputes_identical_objects(self):
         x = make_stable(make_int(1, A), make_int(-1, A))
@@ -500,7 +532,7 @@ class TestMemos:
         assert add(make_pi([1, 2]), make_pi([(2, -1), 3])) is make_pi([1, 3])
         # the stream of t + 5 starts with a letter, so _assemble meets it
         # with a zero coefficient; neg(t) and the junction t - t likewise
-        s = word_core._add_above_base.__wrapped__(t, five)
+        s = add(t, five)
         assert s.items == (t.items[0], five)
         assert neg(t).items == ((-1, t.items[0][1]),)
         assert not word_core._joins_clean(t, neg(t), 1)
