@@ -2,11 +2,12 @@
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
-the run by the size, hits and misses of every memoized library function,
-the size of every table the library keeps in a module-level dict, the
-number of cyclic-collector runs per generation and the peak resident
-set size of the process, so stdout and the reports stay identical from
-run to run.  A suite that meets an engine error (an element too large to
+the run by the peak size, hits and misses of every library memo (the
+engine's memos are dropped after each suite, so their peak is the
+largest one suite reached), the size of every intern table, the number
+of cyclic-collector runs per generation and the peak resident set size
+of the process, so stdout and the reports stay identical from run to
+run.  A suite that meets an engine error (an element too large to
 materialize) ends the run with one ``error:`` line and exit status 2.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
@@ -24,6 +25,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from hnn_nearring import (  # noqa: E402
     SEED_LIMIT, SUITES, EngineError, SampleConfig, Variant, write_report)
 from hnn_nearring.cli_io import GC_THRESHOLD, int_at_least  # noqa: E402
+from hnn_nearring.nearring_maps import memo_stats  # noqa: E402
 
 
 def main() -> int:
@@ -66,12 +68,11 @@ def main() -> int:
                     path.write_bytes(write_report(report))
                 except OSError as exc:
                     return _cannot_write(path, exc)
-    for name, info in _memo_stats():
-        print(f"memo {name} size={info.currsize} hits={info.hits} misses={info.misses}",
-              file=sys.stderr)
-    for name, size, zetas in _table_stats():
-        per_zeta = "" if zetas is None else f" zetas={zetas}"
-        print(f"table {name} size={size}{per_zeta}", file=sys.stderr)
+    memos = _memo_stats()
+    for name, (peak, hits, misses) in memos:
+        print(f"memo {name} peak={peak} hits={hits} misses={misses}", file=sys.stderr)
+    for name, size in _table_stats(dict(memos)):
+        print(f"table {name} size={size}", file=sys.stderr)
     print("gc collections=" + "/".join(str(g["collections"]) for g in gc.get_stats()),
           file=sys.stderr)
     # ru_maxrss is in KiB on Linux
@@ -93,32 +94,28 @@ def _library_modules():
 
 
 def _memo_stats():
-    """``(module.function, cache_info())`` of every memoized function
-    defined in the library, found by its ``cache_info`` attribute."""
-    found = {}
+    """``(name, (peak, hits, misses))`` of every memo: the engine's from
+    ``memo_stats``, and every other memoized library function, found by
+    its ``cache_info`` attribute and never dropped, from its current
+    size."""
+    found = memo_stats()
     for mod_name, short, module in _library_modules():
         for fn in vars(module).values():
             if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
-                found[f"{short}.{fn.__qualname__}"] = fn.cache_info()
+                info = fn.cache_info()
+                found.setdefault(f"{short}.{fn.__qualname__}",
+                                 (info.currsize, info.hits, info.misses))
     return sorted(found.items())
 
 
-def _table_stats():
-    """``(module.name, entries, zetas)`` of every module-level ``*_CACHE``
-    dict of the library.  A table keyed by ``zeta`` holds one dict per
-    embedding: ``entries`` sums their sizes and ``zetas`` counts them;
-    ``zetas`` is None for a flat table."""
-    found = []
-    for _, short, module in _library_modules():
-        for name, table in vars(module).items():
-            if not (name.endswith("_CACHE") and isinstance(table, dict)):
-                continue
-            inner = [v for v in table.values() if isinstance(v, dict)]
-            if inner:
-                found.append((f"{short}.{name}", sum(map(len, inner)), len(table)))
-            else:
-                found.append((f"{short}.{name}", len(table), None))
-    return sorted(found)
+def _table_stats(memos):
+    """``(module.name, entries)`` of every module-level ``*_CACHE`` dict
+    of the library that is not one of ``memos``: the intern tables."""
+    return sorted((f"{short}.{name}", len(table))
+                  for _, short, module in _library_modules()
+                  for name, table in vars(module).items()
+                  if name.endswith("_CACHE") and isinstance(table, dict)
+                  and f"{short}.{name}" not in memos)
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .word_core import (
 from .nearring_maps import (
     PreimageResult,
     ZeroZeta,
+    drop_memos,
     f_eval,
     identity_element,
     in_h,

@@ -12,6 +12,7 @@ the embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .word_core import (
@@ -27,6 +28,7 @@ from .word_core import (
     WrongVariant,
     ZeroInput,
     _basis_runs,
+    _coset_split,
     _first_letter,
     _fold,
     _join_variants,
@@ -49,10 +51,12 @@ from .word_core import (
 __all__ = [
     "PreimageResult",
     "ZeroZeta",
+    "drop_memos",
     "f_eval",
     "identity_element",
     "in_h",
     "in_w",
+    "memo_stats",
     "mu",
     "mul",
     "preimage",
@@ -78,10 +82,23 @@ def identity_element(variant: Variant) -> Element:
 
 #: nonzero x -> lowest and highest basis index in the hereditary support
 #: of x (base chunks plus, at every level, letter subscripts), filled by
-#: ``_fold(x, _SPAN_CACHE, _word_span, _join_spans)``; a plain dict, not
-#: functools.cache, because ``_join_spans`` reads the children's values
-#: out of it
+#: ``_span``; a plain dict, not functools.cache, because ``_join_spans``
+#: reads the children's values out of it
 _SPAN_CACHE: dict = {}
+
+#: dict memo -> [hits, misses] of the calls that read it since the last
+#: ``drop_memos``; a hit is a call answered straight from the memo.  The
+#: counts are unlocked, so racing threads may lose an increment
+_LOOKUPS: dict = {"_F_CACHE": [0, 0], "_INV_CACHE": [0, 0], "_SPAN_CACHE": [0, 0]}
+
+
+def _span(x: Element) -> Tuple[int, int]:
+    span = _SPAN_CACHE.get(x)
+    if span is not None:
+        _LOOKUPS["_SPAN_CACHE"][0] += 1
+        return span
+    _LOOKUPS["_SPAN_CACHE"][1] += 1
+    return _fold(x, _SPAN_CACHE, _word_span, _join_spans)
 
 
 def _word_span(w: WordChunk) -> Tuple[int, int]:
@@ -109,7 +126,7 @@ def mu(gamma: Element) -> int:
         raise ZeroInput("the basis offset is defined for nonzero elements")
     if gamma.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("the basis offset belongs to the free-base tower")
-    return _fold(gamma, _SPAN_CACHE, _word_span, _join_spans)[1]
+    return _span(gamma)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +154,9 @@ def f_eval(zeta: Element, x: Element) -> Element:
     memo = _F_CACHE.setdefault(zeta, {})
     hit = memo.get(x)
     if hit is not None:
+        _LOOKUPS["_F_CACHE"][0] += 1
         return hit
+    _LOOKUPS["_F_CACHE"][1] += 1
 
     def image_of_chunk(b: Element) -> Element:
         if isinstance(b, IntChunk):
@@ -221,6 +240,11 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
     on the same memo; those sit below that level, so it never peels."""
     if x is ZERO:
         return ZERO
+    memo = _INV_CACHE.setdefault(zeta, {})
+    if x in memo:
+        _LOOKUPS["_INV_CACHE"][0] += 1
+        return memo[x]
+    _LOOKUPS["_INV_CACHE"][1] += 1
     peel = zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
 
     def step(y: Element, memo: Optional[dict] = None) -> Optional[Element]:
@@ -251,7 +275,7 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
             pieces.append(piece)
         return sum_elements(pieces)
 
-    return _fold(x, _INV_CACHE.setdefault(zeta, {}), step, step)
+    return _fold(x, memo, step, step)
 
 
 def _letter_over(sign: int, ai: Optional[Element],
@@ -414,7 +438,7 @@ def in_w(x: Element) -> bool:
         return True
     if x.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("this subgroup lives in the free-base tower")
-    return _fold(x, _SPAN_CACHE, _word_span, _join_spans)[0] >= 1
+    return _span(x)[0] >= 1
 
 
 def in_h(zeta: Element, x: Element) -> bool:
@@ -423,3 +447,64 @@ def in_h(zeta: Element, x: Element) -> bool:
     if zeta is ZERO:
         raise ZeroZeta("embeddings are attached to nonzero elements")
     return preimage(zeta, x) is not None
+
+
+# ---------------------------------------------------------------------------
+# Memo lifetime
+# ---------------------------------------------------------------------------
+
+#: held while the drop record is read or moved, so racing drops count
+#: each memo once
+_DROP_LOCK = threading.Lock()
+#: the word engine's functools memos, held from import on, so a wrapper
+#: later bound to their names (a tracer, say) leaves them reachable
+_FUNCTION_MEMOS = (_coset_split, cyclic_reduce)
+
+
+def _live_memos() -> dict:
+    """memo -> (size, hits, misses) of the engine memos as they stand;
+    the size of a per-zeta memo counts its entries over all zetas."""
+    live = {f"nearring_maps.{name}": (sum(map(len, table.values())), *_LOOKUPS[name])
+            for name, table in (("_F_CACHE", _F_CACHE), ("_INV_CACHE", _INV_CACHE))}
+    live["nearring_maps._SPAN_CACHE"] = (len(_SPAN_CACHE), *_LOOKUPS["_SPAN_CACHE"])
+    for fn in _FUNCTION_MEMOS:
+        info = fn.cache_info()
+        live[f"word_core.{fn.__name__}"] = (info.currsize, info.hits, info.misses)
+    return live
+
+
+def _combined(total, counts):
+    """``(peak, hits, misses)`` over ``total`` and one more memo's counts."""
+    return max(total[0], counts[0]), total[1] + counts[1], total[2] + counts[2]
+
+
+#: memo -> (largest size, hits, misses) over the memos dropped so far
+_DROPPED = dict.fromkeys(_live_memos(), (0, 0, 0))
+
+
+def drop_memos() -> None:
+    """Empty the engine's memo tables, keeping their sizes and lookup
+    counts in the record that ``memo_stats`` reads.
+
+    The memos only save recomputation, and interning hands a
+    recomputation the very object a caller kept, so dropping them never
+    changes an answer.  The intern tables stay, because identity is
+    equality.  The dict memos are rebound, not cleared: a fold in flight
+    on another thread finishes on the memo it was handed."""
+    global _F_CACHE, _INV_CACHE, _SPAN_CACHE, _LOOKUPS
+    with _DROP_LOCK:
+        for name, counts in _live_memos().items():
+            _DROPPED[name] = _combined(_DROPPED[name], counts)
+        _F_CACHE, _INV_CACHE, _SPAN_CACHE = {}, {}, {}
+        _LOOKUPS = {name: [0, 0] for name in _LOOKUPS}
+        for fn in _FUNCTION_MEMOS:
+            fn.cache_clear()
+
+
+def memo_stats() -> dict:
+    """memo -> (peak, hits, misses) of every engine memo over the
+    process: the largest size it reached, dropped or live, and the hits
+    and misses of its dropped tables and its live one together."""
+    with _DROP_LOCK:
+        return {name: _combined(_DROPPED[name], counts)
+                for name, counts in _live_memos().items()}

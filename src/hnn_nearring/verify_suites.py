@@ -208,6 +208,23 @@ def sample_w_element(config: SampleConfig, position: int) -> Element:
 # Suites
 # ---------------------------------------------------------------------------
 
+def _drops_memos(suite):
+    """Drop the engine's memo tables when ``suite`` returns or raises,
+    so a run holds one suite's memos at a time.  Little of them is read
+    again by a later suite, which recomputes it; the samplers' memos stay,
+    as suites redraw each other's positions."""
+
+    @functools.wraps(suite)
+    def run(*args, **kwargs):
+        try:
+            return suite(*args, **kwargs)
+        finally:
+            nr.drop_memos()
+
+    return run
+
+
+@_drops_memos
 def check_nearring_axioms(variant: Variant, config: SampleConfig) -> Report:
     """Right distributivity, associativity of the product, two-sided
     identity, zero symmetry; sampled triples."""
@@ -234,6 +251,7 @@ def check_nearring_axioms(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
+@_drops_memos
 def check_conjugacy(variant: Variant, config: SampleConfig) -> Report:
     """Any two distinct nonzero elements are conjugate through their
     letter: ``-t + alpha + t`` normalizes exactly to ``beta``."""
@@ -253,6 +271,7 @@ def check_conjugacy(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
+@_drops_memos
 def witness_nonequiprime_B(config: SampleConfig) -> Report:
     """With a = b = pi(1) and c = 2*pi(1), the products a*x*b and a*x*c
     agree for every x although b and c differ."""
@@ -274,6 +293,7 @@ def witness_nonequiprime_B(config: SampleConfig) -> Report:
     return rep
 
 
+@_drops_memos
 def witness_nonequiprime_C(config: SampleConfig, zeta1: int = 2, zeta2: int = 3) -> Report:
     """With distinct integers zeta1, zeta2 outside {0, 1}, the products
     om(0)*tau*zeta1 and om(0)*tau*zeta2 agree for every tau."""
@@ -298,6 +318,7 @@ def witness_nonequiprime_C(config: SampleConfig, zeta1: int = 2, zeta2: int = 3)
     return rep
 
 
+@_drops_memos
 def check_equiprime_instances_A(config: SampleConfig) -> Report:
     """Instance evidence that the integer-base nearring is equiprime:
     x = t[1,-1] distinguishes any distinct nonzero b, c against any
@@ -326,6 +347,7 @@ def check_equiprime_instances_A(config: SampleConfig) -> Report:
     return rep
 
 
+@_drops_memos
 def check_invariant_subgroups(variant: Variant, config: SampleConfig) -> Report:
     """Closure of the designated invariant subgroup under multiplication
     from both sides, plus nontriviality and an empirical properness
@@ -361,6 +383,7 @@ def check_invariant_subgroups(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
+@_drops_memos
 def find_left_distrib_counterexample(variant: Variant, config: SampleConfig) -> Report:
     """Search sampled triples for c*(a+b) != c*a + c*b; passes exactly
     when a counterexample turns up, witnessing that the structure is a

@@ -690,10 +690,16 @@ def scale(k: int, a: Element) -> Element:
         return ZERO
     if k == 1:
         return a
+    if k == -1:
+        return neg(a)
     if isinstance(a, IntChunk):
         return _intern_int(k * a.n, a.variant)
     d, core = cyclic_reduce(a)
-    if not isinstance(core, IntChunk) and abs(k) * max(1, core._size()) > _MATERIALIZE_LIMIT:
+    # the guard counts the stream copied below: none for an integer core,
+    # and none for a letter-free central core, whose power is one product
+    copied = (0 if isinstance(core, IntChunk)
+              else len(core.letters if isinstance(core, WordChunk) else core.items))
+    if abs(k) * copied > _MATERIALIZE_LIMIT:
         try:
             power = f"{abs(k)}-fold power"
         except ValueError:  # k is longer than sys.get_int_max_str_digits()

@@ -18,7 +18,9 @@ import sys
 
 import pytest
 
-from hnn_nearring import SEED_LIMIT, SUITES, Report, SampleConfig, Variant, write_report
+from hnn_nearring import (
+    SEED_LIMIT, SUITES, Report, SampleConfig, Variant, make_int, make_stable, scale,
+    write_report)
 from conftest import load_script
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -56,23 +58,22 @@ def test_run_suites_times_on_stderr_only():
          "--seed", "7", "--count", "3", "--depth", "1"],
         capture_output=True, text=True, env=env, timeout=120)
     lines = proc.stderr.splitlines()
-    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-9]
-    tables, collections, peak_rss = lines[-9:-2], lines[-2], lines[-1]
+    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-6]
+    tables, collections, peak_rss = lines[-6:-2], lines[-2], lines[-1]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
-    # then one line per memoized library function, after the run
+    # then one line per memo, after the run: the engine's memos, dropped
+    # after each suite, report the largest size one suite reached
     assert [line.split()[1] for line in memos] == [
+        "nearring_maps._F_CACHE", "nearring_maps._INV_CACHE", "nearring_maps._SPAN_CACHE",
         "verify_suites.sample_element", "verify_suites.sample_nonzero",
         "word_core._coset_split", "word_core.cyclic_reduce"]
-    assert all(re.fullmatch(r"memo \S+ size=\d+ hits=\d+ misses=\d+", line)
+    assert all(re.fullmatch(r"memo \S+ peak=[1-9]\d* hits=\d+ misses=[1-9]\d*", line)
                for line in memos)
-    # then one line per dict table; the per-zeta tables count their zetas
+    # then one line per intern table
     assert [line.split()[1] for line in tables] == [
-        "nearring_maps._F_CACHE", "nearring_maps._INV_CACHE", "nearring_maps._SPAN_CACHE",
         "word_core._INT_CACHE", "word_core._LETTER_CACHE", "word_core._SEQ_CACHE",
         "word_core._WORD_CACHE"]
-    assert all(re.fullmatch(r"table \S+ size=[1-9]\d* zetas=[1-9]\d*", line)
-               for line in tables[:2])
-    assert all(re.fullmatch(r"table \S+ size=[1-9]\d*", line) for line in tables[2:])
+    assert all(re.fullmatch(r"table \S+ size=[1-9]\d*", line) for line in tables)
     # then the collector runs per generation, and last the peak resident
     # set size of the process
     assert re.fullmatch(r"gc collections=\d+/\d+/\d+", collections)
@@ -95,14 +96,28 @@ def test_run_suites_unwritable_json_dir_is_a_usage_error(tmp_path, monkeypatch, 
 
 
 def test_run_suites_engine_error_is_a_usage_error(monkeypatch, capsys):
-    # at depth 8 the axioms suite meets an element too large to materialize
-    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--seed", "3", "--count", "60",
-                                      "--depth", "8"])
+    # a suite that meets an element too large to materialize: three
+    # million copies of a one-letter stream
+    def too_large(variant, config):
+        return scale(3_000_000, make_stable(make_int(1, variant), make_int(2, variant)))
+
+    monkeypatch.setattr(run_suites, "SUITES", {"stub": ("A", too_large)})
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--count", "1", "--depth", "0"])
     assert run_suites.main() == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: refusing to materialize ")
     assert captured.err.count("\n") == 1
+
+
+def test_run_suites_passes_at_depth_8(monkeypatch, capsys):
+    # this run once ended in an engine error: axioms A asked for a 1-fold
+    # power of an element of size 2964476, which is the element itself
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--seed", "3", "--count", "60",
+                                      "--depth", "8"])
+    assert run_suites.main() == 0
+    out = capsys.readouterr().out
+    assert len([ln for ln in out.splitlines() if ln.startswith("PASS")]) == len(PAIRS)
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--depth", "-1")])

@@ -5,7 +5,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hnn_nearring import (
     ZERO,
@@ -29,6 +29,7 @@ from hnn_nearring import (
     parse_element,
     preimage,
     preimage_detail,
+    render,
     scale,
 )
 from hnn_nearring import nearring_maps, word_core
@@ -292,12 +293,24 @@ class TestInvariantSubgroups:
             assert in_w(mul(w, g))
 
     @given(elements(C), nonzero_elements(C))
+    @example(parse_element("-t[4,1] + 4", C), parse_element("-t[4,1] + 12", C))
     @settings(max_examples=40, deadline=None)
     def test_h_closed_under_products(self, y, g):
         om0 = make_omega(0, 1)
         h = f_eval(om0, y)
         assert in_h(om0, mul(g, h))
         assert in_h(om0, mul(h, g))
+
+    def test_h_product_through_a_huge_central_multiple(self):
+        # g*h pushes a 1398100-fold multiple of 4*om(0) through a letter:
+        # one integer product, which the size guard once refused
+        om0 = make_omega(0, 1)
+        h = f_eval(om0, parse_element("-t[4,1] + 4", C))
+        assert h is parse_element("-t[4*om(0),om(0)] + 4*om(0)", C)
+        g = parse_element("-t[4,1] + 12", C)
+        gh = mul(g, h)
+        assert render(gh).endswith(" + 22369620*om(0)")
+        assert in_h(om0, gh) and in_h(om0, mul(h, g))
 
 
 class TestWitnessValues:

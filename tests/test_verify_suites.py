@@ -1,12 +1,15 @@
 """Sampler determinism, coverage and memos; every suite passes at small
-scale."""
+scale and drops the engine's memos when it returns."""
 
 import pathlib
+import sys
+import threading
 
 import pytest
 
 from hnn_nearring import (
     SUITES,
+    ZERO,
     Report,
     SampleConfig,
     Variant,
@@ -15,11 +18,13 @@ from hnn_nearring import (
     check_equiprime_instances_A,
     check_invariant_subgroups,
     check_nearring_axioms,
+    cyclic_reduce,
     find_left_distrib_counterexample,
     f_eval,
     in_w,
     level,
     make_pi,
+    mu,
     mul,
     parse_element,
     preimage,
@@ -33,7 +38,7 @@ from hnn_nearring import (
     witness_nonequiprime_C,
     write_report,
 )
-from hnn_nearring import nearring_maps
+from hnn_nearring import nearring_maps, word_core
 from hnn_nearring.word_core import EngineError
 
 A = Variant.A_INT_BASE
@@ -293,3 +298,162 @@ class TestMemos:
         assert warm == cold
         stored = nearring_maps._INV_CACHE[cases[0][0]][xs[0]]
         assert cold[0].reason == "no_parse" and stored is None
+
+
+#: the seven public suites, with the arguments of a small run
+SUITE_CALLS = [
+    (check_nearring_axioms, (C, SMALL)),
+    (check_conjugacy, (B, SMALL)),
+    (witness_nonequiprime_B, (SMALL,)),
+    (witness_nonequiprime_C, (SMALL,)),
+    (check_equiprime_instances_A, (SMALL,)),
+    (check_invariant_subgroups, (C, SMALL)),
+    (find_left_distrib_counterexample, (A, SMALL)),
+]
+
+INTERN_TABLES = ("_INT_CACHE", "_WORD_CACHE", "_LETTER_CACHE", "_SEQ_CACHE")
+ENGINE_FUNCTION_MEMOS = (word_core._coset_split, word_core.cyclic_reduce)
+
+
+def _engine_memo_sizes():
+    tables = (nearring_maps._F_CACHE, nearring_maps._INV_CACHE, nearring_maps._SPAN_CACHE)
+    return ([len(table) for table in tables]
+            + [fn.cache_info().currsize for fn in ENGINE_FUNCTION_MEMOS])
+
+
+def _image_cases(seed, max_level=3, per_variant=10):
+    cfg = SampleConfig(seed=seed, count=0, max_level=max_level)
+    return [(sample_nonzero(cfg, 2 * k, v), sample_element(cfg, 2 * k + 1, v))
+            for v in (A, B, C) for k in range(per_variant)]
+
+
+class TestMemoDrop:
+    """Every public suite drops the engine's five memos when it returns;
+    the intern tables and the samplers' memos stay, so the elements a
+    caller kept are the ones a recomputation returns."""
+
+    @pytest.mark.parametrize("suite, args", SUITE_CALLS,
+                             ids=[suite.__name__ for suite, _ in SUITE_CALLS])
+    def test_suite_drops_the_memos_and_keeps_the_intern_tables(self, suite, args):
+        tables = [getattr(word_core, name) for name in INTERN_TABLES]
+        kept = [dict(table) for table in tables]
+        misses = sum(m for _, _, m in nearring_maps.memo_stats().values())
+        suite(*args)
+        assert _engine_memo_sizes() == [0] * 5
+        # the suite filled the memos before they were dropped
+        assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > misses
+        for name, table, old in zip(INTERN_TABLES, tables, kept):
+            assert getattr(word_core, name) is table
+            assert all(table[key] is value for key, value in old.items())
+        assert sample_element.cache_info().currsize > 0
+
+    def test_a_raising_suite_drops_the_memos(self):
+        f_eval(make_pi([1]), sample_element(SMALL, 1, B))
+        assert nearring_maps._F_CACHE
+        with pytest.raises(EngineError):
+            witness_nonequiprime_C(SMALL, 1, 2)
+        assert _engine_memo_sizes() == [0] * 5
+
+    def test_kept_elements_are_recomputed_identically(self):
+        cases = _image_cases(113)
+        images = [f_eval(z, x) for z, x in cases]
+        back = [preimage(z, y) for (z, _), y in zip(cases, images)]
+        nonzero = [x for _, x in cases if x is not ZERO]
+        reduced = [cyclic_reduce(x) for x in nonzero]
+        offsets = [mu(z) for z, _ in cases if z.variant is B]
+        nearring_maps.drop_memos()
+        assert _engine_memo_sizes() == [0] * 5
+        assert all(f_eval(z, x) is y for (z, x), y in zip(cases, images))
+        assert all(preimage(z, y) is x for (z, _), y, x in zip(cases, images, back))
+        assert all(u is v for x, pair in zip(nonzero, reduced)
+                   for u, v in zip(cyclic_reduce(x), pair))
+        assert [mu(z) for z, _ in cases if z.variant is B] == offsets
+
+    def test_drop_inside_a_fold_gives_the_clean_image(self, monkeypatch):
+        # a fold keeps the memo it was handed, so a drop while it runs
+        # (here at every sum of pieces) leaves its answer as it was
+        cases = _image_cases(127, max_level=4)
+        nearring_maps.drop_memos()
+        clean = [f_eval(z, x) for z, x in cases]
+        nearring_maps.drop_memos()
+        drops = []
+        sum_elements = nearring_maps.sum_elements
+
+        def dropping(pieces):
+            drops.append(None)
+            nearring_maps.drop_memos()
+            return sum_elements(pieces)
+
+        monkeypatch.setattr(nearring_maps, "sum_elements", dropping)
+        assert all(f_eval(z, x) is y for (z, x), y in zip(cases, clean))
+        assert len(drops) > len(cases)
+
+    def test_drop_inside_a_span_fold_gives_the_clean_offset(self, monkeypatch):
+        # the span fold reads the children's spans out of the memo it was
+        # handed, so a drop must rebind the memo, not clear it
+        zetas = [z for z, _ in _image_cases(137, max_level=4) if z.variant is B]
+        nearring_maps.drop_memos()
+        clean = [mu(z) for z in zetas]
+        nearring_maps.drop_memos()
+        drops = []
+        join_spans = nearring_maps._join_spans
+
+        def dropping(x, spans):
+            drops.append(None)
+            nearring_maps.drop_memos()
+            return join_spans(x, spans)
+
+        monkeypatch.setattr(nearring_maps, "_join_spans", dropping)
+        assert [mu(z) for z in zetas] == clean
+        assert len(drops) > len(zetas)
+
+    def test_drop_reaches_memos_behind_rebound_names(self, monkeypatch):
+        # a tracer rebinds the engine's public names to plain wrappers
+        reduce = word_core.cyclic_reduce
+        for module in (word_core, nearring_maps):
+            monkeypatch.setattr(module, "cyclic_reduce", lambda a: reduce(a))
+        cyclic_reduce(make_pi([(1, 1), (2, 1), (1, -1)]))
+        assert reduce.cache_info().currsize > 0
+        nearring_maps.drop_memos()
+        assert _engine_memo_sizes() == [0] * 5
+
+    def test_drop_keeps_the_counts(self):
+        f_eval(make_pi([1]), sample_element(SMALL, 3, B))
+        before = nearring_maps.memo_stats()
+        nearring_maps.drop_memos()
+        assert nearring_maps.memo_stats() == before
+        assert len(before) == 5 and before["nearring_maps._F_CACHE"][0] > 0
+
+    def test_threads_fold_through_drops(self):
+        # folds on three threads while a fourth drops the memos; each
+        # image is the one a clean run gives
+        cases = _image_cases(131)
+        nearring_maps.drop_memos()
+        clean = [f_eval(z, x) for z, x in cases]
+        nearring_maps.drop_memos()
+        done = threading.Event()
+        results = [None] * 3
+
+        def fold(i):
+            results[i] = [f_eval(z, x) for z, x in cases]
+
+        def drop():
+            while not done.is_set():
+                nearring_maps.drop_memos()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            dropper = threading.Thread(target=drop)
+            dropper.start()
+            folders = [threading.Thread(target=fold, args=(i,)) for i in range(3)]
+            for th in folders:
+                th.start()
+            for th in folders:
+                th.join(timeout=120)
+            done.set()
+            dropper.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in folders + [dropper])
+        assert all(r is not None and all(u is v for u, v in zip(r, clean)) for r in results)

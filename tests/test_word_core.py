@@ -274,6 +274,17 @@ class TestScale:
         with pytest.raises(EngineError):
             scale(3_000_000, t)
 
+    def test_cheap_multiples_of_huge_elements(self):
+        # the guard counts the copied stream, not the hereditary size: a
+        # one-letter tower past the limit still has a negative and a double
+        x = make_int(1, A)
+        while size(x) <= word_core._MATERIALIZE_LIMIT:
+            x = make_stable(x, neg(x))
+        assert scale(-1, x) is neg(x)
+        assert scale(2, x) is add(x, x)
+        # a letter-free central core is one product, like an integer core
+        assert scale(3_000_000, make_omega(0, 4)) is make_omega(0, 12_000_000)
+
 
 class TestConjugator:
     def test_relation(self):
