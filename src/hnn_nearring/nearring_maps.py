@@ -13,6 +13,7 @@ the embedding attached to an image, which is associativity.
 from __future__ import annotations
 
 import threading
+from itertools import groupby
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .word_core import (
@@ -34,6 +35,7 @@ from .word_core import (
     _join_variants,
     _letter,
     _signed,
+    _word_from,
     add,
     cyclic_reduce,
     make_int,
@@ -228,8 +230,8 @@ def _scalar_preimage(k: int, variant: Variant) -> Element:
 
 
 #: zeta -> {x: candidate inverse image of x under the embedding attached
-#: to zeta, or None when the greedy parse finds none}; plain dicts,
-#: because ``_fold`` reads the children's inverse images out of them
+#: to zeta, or None when x has none}; plain dicts, because ``_fold``
+#: reads the children's inverse images out of them
 _INV_CACHE: dict = {}
 
 
@@ -330,6 +332,8 @@ def _peel_invert(zeta: Element, x: Element) -> Optional[Element]:
 
 
 def _leftmost_atom(v: Element) -> Element:
+    """Leftmost generator of a free-base element: its first signed letter
+    as an element, or else the first basis letter of its base word."""
     while isinstance(v, Seq):
         first = v.items[0]
         if isinstance(first, Element):
@@ -337,10 +341,8 @@ def _leftmost_atom(v: Element) -> Element:
             continue
         sign, lt = first
         return make_stable(lt.alpha, lt.beta, sign)
-    if isinstance(v, WordChunk):
-        code = v.letters[0]
-        return make_pi([(abs(code) - 1, 1 if code > 0 else -1)])
-    return v
+    code = v.letters[0]
+    return make_pi([(abs(code) - 1, 1 if code > 0 else -1)])
 
 
 def _invert_atom(zeta: Element, mz: int,
@@ -351,10 +353,8 @@ def _invert_atom(zeta: Element, mz: int,
         if idx <= mz:
             return None
         return make_pi([(idx - mz, 1 if code > 0 else -1)])
-    if isinstance(atom, Seq) and atom.n_letters == 1:
-        sign, lt = _first_letter(atom)
-        return _letter_over(sign, _invert(zeta, lt.alpha), _invert(zeta, lt.beta))
-    return None
+    sign, lt = _first_letter(atom)
+    return _letter_over(sign, _invert(zeta, lt.alpha), _invert(zeta, lt.beta))
 
 
 def _peel_better(cand: Element, v: Element, lvl: int) -> bool:
@@ -374,60 +374,23 @@ def _invert_omega(zeta: Element, om_index: int, m: int) -> Optional[Element]:
 
 
 def _invert_word(zeta: Element, w: WordChunk) -> Optional[Element]:
-    """Greedy parse of a free-base chunk into blocks spelling powers of
-    ``zeta`` and offset basis letters.  Sound because the caller verifies
-    the candidate; complete on canonical images because block shells and
-    offset letters cannot overlap."""
+    """Inverse image of a free-base chunk by the free-product split of the
+    image of the base.  ``zeta`` lives on the letters pi(0..mu) and the
+    offset letters pi(j > mu) are free of it, so the image is
+    ``<zeta> * F(high)``: ``w`` is an image exactly when every maximal run
+    of low letters is a power of ``zeta`` (the image of a power of pi(0)),
+    and each high letter pi(j) is the image of pi(j - mu)."""
     mz = mu(zeta)
-    if zeta.level == 0:
-        d, core = cyclic_reduce(zeta)
-        xs = neg(d).letters if d is not ZERO else ()
-        cs = core.letters
-        xe = d.letters if d is not ZERO else ()
-        ics = tuple(-c for c in reversed(cs))
-    else:
-        xs = cs = xe = ics = None
-    target = w.letters
-    n = len(target)
     items = []
-    pos = 0
-    while pos < n:
-        if cs is not None:
-            blk = _match_block(target, pos, xs, cs, xe, ics)
-            if blk is not None:
-                consumed, k = blk
-                items.append((0, k))
-                pos += consumed
-                continue
-        code = target[pos]
-        idx = abs(code) - 1
-        if idx <= mz:
-            return None
-        items.append((idx - mz, 1 if code > 0 else -1))
-        pos += 1
+    for low, run in groupby(w.letters, lambda code: abs(code) <= mz + 1):
+        if low:
+            k = power_of(_word_from(tuple(run)), zeta)
+            if k is None:
+                return None
+            items.append((0, k))
+        else:
+            items += ((abs(code) - 1 - mz, 1 if code > 0 else -1) for code in run)
     return make_pi(items)
-
-
-def _match_block(target, pos, xs, cs, xe, ics):
-    p = pos
-    for c in xs:
-        if p >= len(target) or target[p] != c:
-            return None
-        p += 1
-    sgn, body = 1, cs
-    if target[p:p + len(cs)] != cs:
-        sgn, body = -1, ics
-    r = 0
-    while tuple(target[p:p + len(body)]) == body:
-        p += len(body)
-        r += 1
-    if r == 0:
-        return None
-    for c in xe:
-        if p >= len(target) or target[p] != c:
-            return None
-        p += 1
-    return p - pos, sgn * r
 
 
 def in_w(x: Element) -> bool:

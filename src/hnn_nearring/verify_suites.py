@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import random
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from . import nearring_maps as nr
 from . import word_core as wc
@@ -45,6 +45,13 @@ _MAX_RECORDED_FAILURES = 25
 #: seeds in [0, SEED_LIMIT), where distinct seeds give distinct streams
 SEED_LIMIT = 1 << 64
 
+#: the shape of sampled elements: syllables per level, the range of base
+#: integers (A, C), of basis indices (B) and the highest om index (C)
+_MAX_SYLLABLES = 4
+_INT_RANGE = (-6, 6)
+_BASIS_INDEX_RANGE = (0, 5)
+_MAX_OMEGA_INDEX = 3
+
 
 class SampleConfig(NamedTuple):
     """Deterministic generation parameters; equal configs yield equal
@@ -54,10 +61,6 @@ class SampleConfig(NamedTuple):
     seed: int = 7
     count: int = 200
     max_level: int = 3
-    max_syllables: int = 4
-    int_range: Tuple[int, int] = (-6, 6)
-    basis_index_range: Tuple[int, int] = (0, 5)
-    omega_index_range: Tuple[int, int] = (0, 3)
 
 
 class Report(SimpleNamespace):
@@ -95,7 +98,7 @@ def sample_element(config: SampleConfig, position: int, variant: Variant) -> Ele
     if rng.random() < 0.04:
         return ZERO
     target = position % (config.max_level + 1)
-    return _gen(rng, config, variant, target, config.max_syllables)
+    return _gen(rng, variant, target, _MAX_SYLLABLES)
 
 
 @functools.cache
@@ -107,16 +110,16 @@ def sample_nonzero(config: SampleConfig, position: int, variant: Variant,
     rng = _rng_for(config, position)
     target = position % ((max_level if max_level is not None else config.max_level) + 1)
     for _ in range(24):
-        e = _gen(rng, config, variant, target, config.max_syllables)
+        e = _gen(rng, variant, target, _MAX_SYLLABLES)
         if e is not ZERO:
             return e
         target = rng.randint(0, config.max_level)
     return nr.identity_element(variant)
 
 
-def _gen_base(rng, config, variant, small=False) -> Element:
+def _gen_base(rng, variant, small=False) -> Element:
     if variant is Variant.B_FREE_BASE:
-        lo, hi = config.basis_index_range
+        lo, hi = _BASIS_INDEX_RANGE
         for _ in range(8):
             n = rng.randint(1, 2 if small else 3)
             items = [(rng.randint(lo, hi), rng.choice((1, -1))) for _ in range(n)]
@@ -124,7 +127,7 @@ def _gen_base(rng, config, variant, small=False) -> Element:
             if e is not ZERO:
                 return e
         return wc.make_pi([1])
-    lo, hi = config.int_range
+    lo, hi = _INT_RANGE
     if small:
         lo, hi = max(lo, -3), min(hi, 3)
     n = rng.randint(lo, hi)
@@ -133,9 +136,9 @@ def _gen_base(rng, config, variant, small=False) -> Element:
     return wc.make_int(n, variant)
 
 
-def _gen_exact(rng, config, variant, lvl, budget) -> Element:
+def _gen_exact(rng, variant, lvl, budget) -> Element:
     for _ in range(8):
-        e = _gen(rng, config, variant, lvl, budget, sub=True)
+        e = _gen(rng, variant, lvl, budget, sub=True)
         if e.level == lvl:
             return e
     return _fallback_exact(variant, lvl)
@@ -150,36 +153,34 @@ def _fallback_exact(variant: Variant, lvl: int) -> Element:
     return e
 
 
-def _gen(rng, config, variant, lvl, budget, sub=False) -> Element:
+def _gen(rng, variant, lvl, budget, sub=False) -> Element:
     if lvl <= 0:
-        return _gen_base(rng, config, variant, small=sub)
+        return _gen_base(rng, variant, small=sub)
     pieces = []
     syllables = rng.randint(1, max(1, budget))
     sub_budget = max(1, budget - 2)
     for pos in range(syllables):
         roll = rng.random()
         if (variant is Variant.C_INT_OMEGA_BASE and roll < 0.18
-                and lvl - 1 <= config.omega_index_range[1]):
+                and lvl - 1 <= _MAX_OMEGA_INDEX):
             m = rng.randint(-2, 2)
             pieces.append(wc.make_omega(lvl - 1, m if m else 1))
         elif roll < 0.75 or pos == 0:
-            pieces.append(_gen_letter(rng, config, variant, lvl, sub_budget))
+            pieces.append(_gen_letter(rng, variant, lvl, sub_budget))
         else:
-            pieces.append(_gen(rng, config, variant, rng.randint(0, lvl - 1),
-                               sub_budget, sub=sub))
+            pieces.append(_gen(rng, variant, rng.randint(0, lvl - 1), sub_budget, sub=sub))
     return wc.sum_elements(pieces)
 
 
-def _gen_letter(rng, config, variant, lvl, sub_budget):
+def _gen_letter(rng, variant, lvl, sub_budget):
     """A signed letter ``(sign, StableLetter)`` whose subscripts have equal
     sizes (mostly negation pairs), so pushing coefficients through sampled
     words cannot grow them geometrically."""
-    alpha = _gen_exact(rng, config, variant, lvl - 1, sub_budget)
+    alpha = _gen_exact(rng, variant, lvl - 1, sub_budget)
     beta = wc.neg(alpha)
     if rng.random() >= 0.8:
         for _ in range(3):
-            other = _gen(rng, config, variant, rng.randint(0, lvl - 1),
-                         sub_budget, sub=True)
+            other = _gen(rng, variant, rng.randint(0, lvl - 1), sub_budget, sub=True)
             if other is not ZERO and other is not alpha and wc.size(other) == wc.size(alpha):
                 beta = other
                 break
@@ -294,12 +295,11 @@ def witness_nonequiprime_B(config: SampleConfig) -> Report:
 
 
 @_drops_memos
-def witness_nonequiprime_C(config: SampleConfig, zeta1: int = 2, zeta2: int = 3) -> Report:
-    """With distinct integers zeta1, zeta2 outside {0, 1}, the products
-    om(0)*tau*zeta1 and om(0)*tau*zeta2 agree for every tau."""
+def witness_nonequiprime_C(config: SampleConfig) -> Report:
+    """With the distinct integers zeta1 = 2 and zeta2 = 3 outside {0, 1},
+    the products om(0)*tau*zeta1 and om(0)*tau*zeta2 agree for every tau."""
     variant = Variant.C_INT_OMEGA_BASE
-    if zeta1 in (0, 1) or zeta2 in (0, 1) or zeta1 == zeta2:
-        raise wc.EngineError("witness needs distinct integers outside {0, 1}")
+    zeta1, zeta2 = 2, 3
     rep = Report("nonequiprime_C", variant, config, 0)
     om0 = wc.make_omega(0, 1)
     z1 = wc.make_int(zeta1, variant)

@@ -157,7 +157,7 @@ def test_criterion_5_nonequiprime_C():
     sampled tau plus tau = 0, with the index-shift law and integer-index
     level preservation checked alongside."""
     cfg = SampleConfig(seed=7, count=200)
-    rep = witness_nonequiprime_C(cfg, zeta1=2, zeta2=3)
+    rep = witness_nonequiprime_C(cfg)
     failures = len(rep.failures)
     assert rep.cases_run == 201
     # index-shift table: f_zeta(om(j)) = om(level(zeta) + j)

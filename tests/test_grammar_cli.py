@@ -197,6 +197,14 @@ class TestCli:
         assert run_cli(["member", "--variant", "C", "--subgroup", "H", "om(1)"]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_member_H_of_a_power_of_zeta_in_the_base(self, capsys):
+        # 2*zeta is the base letter pi(3), so pi(3) + pi(4) is the image
+        # of 2*pi(0) + pi(1)
+        zeta = "t[pi(3),2*pi(1)] + pi(1) + -t[pi(3),2*pi(1)]"
+        assert run_cli(["member", "--variant", "B", "--subgroup", "H", "--zeta", zeta,
+                        "pi(3) + pi(4)"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_check_pass_and_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code = run_cli(["check", "--variant", "C", "--suite", "nonequiprime",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 
 from hnn_nearring import (
     ZERO,
+    SampleConfig,
     Variant,
     WrongVariant,
     ZeroInput,
@@ -30,6 +31,8 @@ from hnn_nearring import (
     preimage,
     preimage_detail,
     render,
+    sample_element,
+    sample_nonzero,
     scale,
 )
 from hnn_nearring import nearring_maps, word_core
@@ -263,6 +266,56 @@ class TestPreimage:
     @settings(max_examples=50, deadline=None)
     def test_round_trip_A(self, z, y):
         assert preimage(z, f_eval(z, y)) is y
+
+
+#: a level-1 zeta whose double is the base letter pi(3); mu(zeta) = 3
+_ZETA_ABOVE_BASE = "t[pi(3),2*pi(1)] + pi(1) + -t[pi(3),2*pi(1)]"
+
+
+class TestFreeProductSplit:
+    """Under B the image of the base is ``<zeta> * F(pi(j) : j > mu)``: a
+    base word is an image exactly when every maximal run of the letters
+    pi(0..mu(zeta)) is a power of zeta."""
+
+    @pytest.mark.parametrize("x, y", [
+        ("2*pi(0) + pi(1)", "pi(3) + pi(4)"),
+        ("t[pi(1),2*pi(0) + pi(1)]", "t[pi(4),pi(3) + pi(4)]"),
+    ], ids=["word", "letter"])
+    def test_powers_of_a_zeta_above_the_base(self, x, y):
+        z = parse_element(_ZETA_ABOVE_BASE, B)
+        x, y = parse_element(x, B), parse_element(y, B)
+        assert f_eval(z, x) is y
+        assert preimage(z, y) is x
+        assert in_h(z, y)
+
+    @pytest.mark.parametrize("zeta, x, target", [
+        # the run pi(0) is no power of 2*pi(0)
+        ("2*pi(0)", None, "pi(0) + pi(2)"),
+        # the run pi(1) + pi(0) is a conjugate of zeta, not a power
+        ("pi(0) + pi(1)", None, "pi(1) + pi(0) + pi(3)"),
+        # zeta is not cyclically reduced, so its powers share its ends
+        ("pi(1) + pi(0) + -pi(1)", "3*pi(0) + pi(1) + -pi(0)", None),
+        ("pi(1) + pi(0) + -pi(1)", "t[pi(2) + 2*pi(0),-pi(0)] + pi(1)", None),
+    ], ids=["no-power", "conjugate", "image-word", "image-letter"])
+    def test_decision(self, zeta, x, target):
+        z = parse_element(zeta, B)
+        if x is None:
+            assert preimage_detail(z, parse_element(target, B)) == (None, "no_parse")
+        else:
+            x = parse_element(x, B)
+            assert preimage_detail(z, f_eval(z, x)) == (x, "ok")
+
+    @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
+    def test_seeded_round_trip_over_a_base_zeta(self, variant):
+        misses = []
+        for seed in range(1, 61):
+            cfg = SampleConfig(seed=seed, count=0, max_level=4)
+            for k in range(40):
+                x = sample_element(cfg, 2 * k, variant)
+                z = sample_nonzero(cfg, 2 * k + 1, variant, 0)
+                if preimage(z, f_eval(z, x)) is not x:
+                    misses.append((seed, k))
+        assert misses == []
 
 
 class TestInvariantSubgroups:
