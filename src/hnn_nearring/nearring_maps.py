@@ -1,20 +1,23 @@
 """Nearring structure carried by the tower groups.
 
-Every nonzero element ``zeta`` determines an embedding of the whole group
-onto a proper subgroup, sending the designated identity element to
-``zeta``.  Integers map to integer multiples of ``zeta`` (basis letters
-shift by the index offset of ``zeta`` under the free base), letters map
-to letters of the mapped subscripts, and central generators shift level
-by the level of ``zeta``.  The product ``a * b`` is the image of ``a``
-under the embedding attached to ``b``; composing two embeddings gives
-the embedding attached to an image, which is associativity.
+Every nonzero element ``zeta`` determines a homomorphism of the whole
+group into itself, sending the designated identity element to ``zeta``;
+it is called the embedding attached to ``zeta``, although it need not
+be injective (README, "What it computes").  Integers map to integer
+multiples of ``zeta`` (basis letters shift by the index offset of
+``zeta`` under the free base), letters map to letters of the mapped
+subscripts, and central generators shift level by the level of
+``zeta``.  The product ``a * b`` is the image of ``a`` under the
+embedding attached to ``b``; composing two embeddings gives the
+embedding attached to an image, which is associativity.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import groupby
-from typing import NamedTuple, Optional, Tuple, Union
+from operator import itemgetter
+from typing import NamedTuple, Optional, Tuple
 
 from .word_core import (
     ZERO,
@@ -30,24 +33,18 @@ from .word_core import (
     ZeroInput,
     _basis_runs,
     _coset_split,
-    _first_letter,
     _fold,
     _join_variants,
     _letter,
     _signed,
     _word_from,
-    add,
     cyclic_reduce,
     make_int,
     make_omega,
     make_pi,
-    make_stable,
-    neg,
     power_of,
     scale,
-    size,
     sum_elements,
-    top_letter_count,
 )
 
 __all__ = [
@@ -237,9 +234,7 @@ _INV_CACHE: dict = {}
 
 def _invert(zeta: Element, x: Element) -> Optional[Element]:
     """Candidate inverse image of ``x`` under the embedding attached to
-    ``zeta``, or None, folded bottom up into ``_INV_CACHE``.  The peel at
-    the level of ``zeta`` may invert letter subscripts by a nested fold
-    on the same memo; those sit below that level, so it never peels."""
+    ``zeta``, or None, folded bottom up into ``_INV_CACHE``."""
     if x is ZERO:
         return ZERO
     memo = _INV_CACHE.setdefault(zeta, {})
@@ -247,7 +242,6 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
         _LOOKUPS["_INV_CACHE"][0] += 1
         return memo[x]
     _LOOKUPS["_INV_CACHE"][1] += 1
-    peel = zeta.variant is Variant.B_FREE_BASE and zeta.level >= 1
 
     def step(y: Element, memo: Optional[dict] = None) -> Optional[Element]:
         # both the leaf and the node of the fold: a Seq comes with the memo
@@ -255,14 +249,10 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
         k = power_of(y, zeta)
         if k is not None:
             return _scalar_preimage(k, zeta.variant)
+        if zeta.variant is Variant.B_FREE_BASE:
+            return _invert_free(zeta, y, memo)
         if isinstance(y, IntChunk):
             return None
-        if isinstance(y, WordChunk):
-            return _invert_word(zeta, y)
-        if peel and y.level == zeta.level:
-            # blocks spelling powers of zeta and images of basis letters can
-            # interleave at this one level; peel generators off the left
-            return _peel_invert(zeta, y)
         pieces = []
         for it in y.items:
             piece = (memo[it] if isinstance(it, Element)
@@ -280,6 +270,93 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
     return _fold(x, memo, step, step)
 
 
+def _invert_free(zeta: Element, y: Element, memo: Optional[dict]) -> Optional[Element]:
+    """Inverse image of a node ``y`` under B by the free-product split of
+    the image.  ``zeta`` lives on the letters pi(0..mu) and the offset
+    letters pi(j > mu) are free of it, so the image of the base is
+    ``<zeta> * F(high)``, and above the base the image letters join it.
+    ``_pieces`` lays ``y`` out as low pieces, which live on pi(0..mu),
+    and inverse images of the others; ``y`` is an image when each
+    maximal run of low pieces is a power of ``zeta`` (``_powers``)."""
+    own = {it[1] for it in zeta.items if not isinstance(it, Element)} \
+        if isinstance(zeta, Seq) else set()
+    out = []
+    for low, run in groupby(_pieces(y, memo, mu(zeta), own), itemgetter(0)):
+        run = [piece for _, piece in run]
+        if low:
+            run = _powers(zeta, run, memo, own)
+        if run is None or None in run:
+            return None
+        out += run
+    return sum_elements(out)
+
+
+def _powers(zeta: Element, run: list, memo: Optional[dict],
+            own: set) -> Optional[list]:
+    """Inverse image of a run of low pieces, as pieces: ``k*pi(0)`` when
+    the run is ``k*zeta``.  Otherwise the fewest of zeta's own letters
+    over images that split the rest into powers of ``zeta`` are read as
+    image letters, leftmost first: the embedding is not injective, and
+    such a letter is both."""
+    k = power_of(sum_elements(run), zeta)
+    if k is not None:
+        return [make_pi([(0, k)])]
+    letters = {i: _letter_over(p[0], memo[p[1].alpha], memo[p[1].beta])
+               for i, p in enumerate(run)
+               if not isinstance(p, Element) and p[1] in own}
+    # cut -> the fewest-letter parse of run[:cut + 1] that ends in the
+    # letter at the cut read as an image letter
+    parses = {-1: []}
+    for j in [i for i, letter in letters.items() if letter is not None] + [len(run)]:
+        options = []
+        for i, pieces in parses.items():
+            k = power_of(sum_elements(run[i + 1:j]), zeta)
+            if k is not None:
+                options.append(pieces + [make_pi([(0, k)]), letters.get(j)])
+        if options:
+            parses[j] = min(options, key=len)
+    parse = parses.get(len(run))
+    return None if parse is None else parse[:-1]
+
+
+def _pieces(y: Element, memo: Optional[dict], mz: int, own: set):
+    """``(low, piece)`` pairs laying out the free-base node ``y``, on an
+    explicit stack; ``memo`` holds the inverse images of every element
+    below ``y``, ``mz`` is mu(zeta) and ``own`` holds zeta's top-level
+    letters.
+
+    A base word gives its maximal runs of low letters, and of high
+    letters, shifted down by ``mz``.  A letter over low subscripts is
+    low when a subscript has no inverse image, or when it is one of
+    zeta's own, so that zeta's blocks read as powers of zeta first.  Any
+    other letter is the letter over its subscripts' inverse images.  Any
+    other element below ``y`` is its inverse image when it has one, low
+    when it lives on pi(0..mz), and otherwise opened into its items, as
+    ``y`` itself is first."""
+    stack = [y] if isinstance(y, WordChunk) else list(reversed(y.items))
+    while stack:
+        p = stack.pop()
+        if isinstance(p, WordChunk):
+            for low, codes in groupby(p.letters, lambda code: abs(code) <= mz + 1):
+                codes = tuple(codes)
+                yield (True, _word_from(codes)) if low else (False, make_pi(
+                    (abs(code) - 1 - mz, 1 if code > 0 else -1) for code in codes))
+        elif not isinstance(p, Element):
+            sign, lt = p
+            ai, bi = memo[lt.alpha], memo[lt.beta]
+            if (max(_span(lt.alpha)[1], _span(lt.beta)[1]) <= mz
+                    and (lt in own or ai is None or bi is None)):
+                yield True, p
+            else:
+                yield False, _letter_over(sign, ai, bi)
+        elif memo[p] is not None:
+            yield False, memo[p]
+        elif _span(p)[1] <= mz:
+            yield True, p
+        else:
+            stack += reversed(p.items)
+
+
 def _letter_over(sign: int, ai: Optional[Element],
                  bi: Optional[Element]) -> Optional[SignedLetter]:
     """Inverse image of a signed letter whose subscripts have the inverse
@@ -293,75 +370,6 @@ def _letter_over(sign: int, ai: Optional[Element],
         return None
 
 
-def _peel_invert(zeta: Element, x: Element) -> Optional[Element]:
-    """Greedy left-to-right parse of an element sitting at the level of
-    ``zeta`` itself.  The leftmost atom is either an image of a basis
-    letter (index above the offset of ``zeta``), an image letter (both
-    subscripts invert), or the head of a block spelling ``zeta``; the
-    three cases cannot overlap, so peeling is deterministic on genuine
-    images and the final verification rejects everything else."""
-    mz = mu(zeta)
-    out = []
-    v = x
-    for _ in range(4 * size(x) + 8):
-        if v is ZERO:
-            return sum_elements(out)
-        k = power_of(v, zeta)
-        if k is not None:
-            out.append(_scalar_preimage(k, zeta.variant))
-            return sum_elements(out)
-        atom = _leftmost_atom(v)
-        ginv = _invert_atom(zeta, mz, atom)
-        if ginv is not None:
-            nxt = add(neg(atom), v)
-            if _peel_better(nxt, v, zeta.level):
-                out.append(ginv)
-                v = nxt
-                continue
-        stripped = False
-        for sign in (1, -1):
-            cand = add(scale(-sign, zeta), v)
-            if _peel_better(cand, v, zeta.level):
-                out.append(make_pi([(0, sign)]))
-                v = cand
-                stripped = True
-                break
-        if not stripped:
-            return None
-    return None
-
-
-def _leftmost_atom(v: Element) -> Element:
-    """Leftmost generator of a free-base element: its first signed letter
-    as an element, or else the first basis letter of its base word."""
-    while isinstance(v, Seq):
-        first = v.items[0]
-        if isinstance(first, Element):
-            v = first
-            continue
-        sign, lt = first
-        return make_stable(lt.alpha, lt.beta, sign)
-    code = v.letters[0]
-    return make_pi([(abs(code) - 1, 1 if code > 0 else -1)])
-
-
-def _invert_atom(zeta: Element, mz: int,
-                 atom: Element) -> Optional[Union[Element, SignedLetter]]:
-    if isinstance(atom, WordChunk):
-        code = atom.letters[0]
-        idx = abs(code) - 1
-        if idx <= mz:
-            return None
-        return make_pi([(idx - mz, 1 if code > 0 else -1)])
-    sign, lt = _first_letter(atom)
-    return _letter_over(sign, _invert(zeta, lt.alpha), _invert(zeta, lt.beta))
-
-
-def _peel_better(cand: Element, v: Element, lvl: int) -> bool:
-    return ((top_letter_count(cand, lvl), size(cand))
-            < (top_letter_count(v, lvl), size(v)))
-
-
 def _invert_omega(zeta: Element, om_index: int, m: int) -> Optional[Element]:
     piece = make_omega(om_index, m)
     k = power_of(piece, zeta)
@@ -371,26 +379,6 @@ def _invert_omega(zeta: Element, om_index: int, m: int) -> Optional[Element]:
     if j >= 0:
         return make_omega(j, m)
     return None
-
-
-def _invert_word(zeta: Element, w: WordChunk) -> Optional[Element]:
-    """Inverse image of a free-base chunk by the free-product split of the
-    image of the base.  ``zeta`` lives on the letters pi(0..mu) and the
-    offset letters pi(j > mu) are free of it, so the image is
-    ``<zeta> * F(high)``: ``w`` is an image exactly when every maximal run
-    of low letters is a power of ``zeta`` (the image of a power of pi(0)),
-    and each high letter pi(j) is the image of pi(j - mu)."""
-    mz = mu(zeta)
-    items = []
-    for low, run in groupby(w.letters, lambda code: abs(code) <= mz + 1):
-        if low:
-            k = power_of(_word_from(tuple(run)), zeta)
-            if k is None:
-                return None
-            items.append((0, k))
-        else:
-            items += ((abs(code) - 1 - mz, 1 if code > 0 else -1) for code in run)
-    return make_pi(items)
 
 
 def in_w(x: Element) -> bool:

@@ -205,6 +205,14 @@ class TestCli:
                         "pi(3) + pi(4)"]) == 0
         assert capsys.readouterr().out == "true\n"
 
+    def test_member_H_of_blocks_around_an_image_letter(self, capsys):
+        # the image of pi(0) + t[pi(1),pi(2)] + pi(0): zeta's own letter
+        # is also an image letter, and zeta's blocks read as powers first
+        zeta = "t[pi(1),-2*pi(1)] + -pi(1) + -t[pi(1),-2*pi(1)]"
+        assert run_cli(["member", "--variant", "B", "--subgroup", "H", "--zeta", zeta,
+                        f"{zeta} + t[pi(2),pi(3)] + {zeta}"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
     def test_check_pass_and_json(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         code = run_cli(["check", "--variant", "C", "--suite", "nonequiprime",
