@@ -185,14 +185,16 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                                   f"{' or '.join(tags)} only, not {variant.value}")
             config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
             out = contextlib.nullcontext()
-            if args.json_path:  # opened first, so a bad path costs no suite run
+            # opened first, so a bad path costs no suite run; an empty path
+            # is a path, and fails like any other unwritable one
+            if args.json_path is not None:
                 try:
                     out = open(args.json_path, "wb")
                 except OSError as exc:
                     raise _cannot_write(args.json_path, exc) from exc
             with out:
                 report = runner(variant, config)
-                if args.json_path:
+                if args.json_path is not None:
                     try:
                         out.write(write_report(report))
                         out.flush()

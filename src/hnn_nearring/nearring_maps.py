@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from .word_core import (
     ZERO,
@@ -79,53 +79,17 @@ def identity_element(variant: Variant) -> Element:
 # The basis offset of variant B
 # ---------------------------------------------------------------------------
 
-#: nonzero x -> lowest and highest basis index in the hereditary support
-#: of x (base chunks plus, at every level, letter subscripts), filled by
-#: ``_span``; a plain dict, not functools.cache, because ``_join_spans``
-#: reads the children's values out of it
-_SPAN_CACHE: dict = {}
-
-#: dict memo -> [hits, misses] of the calls that read it since the last
-#: ``drop_memos``; a hit is a call answered straight from the memo.  The
-#: counts are unlocked, so racing threads may lose an increment
-_LOOKUPS: dict = {"_F_CACHE": [0, 0], "_INV_CACHE": [0, 0], "_SPAN_CACHE": [0, 0]}
-
-
-def _span(x: Element) -> Tuple[int, int]:
-    span = _SPAN_CACHE.get(x)
-    if span is not None:
-        _LOOKUPS["_SPAN_CACHE"][0] += 1
-        return span
-    _LOOKUPS["_SPAN_CACHE"][1] += 1
-    return _fold(x, _SPAN_CACHE, _word_span, _join_spans)
-
-
-def _word_span(w: WordChunk) -> Tuple[int, int]:
-    indices = [abs(c) - 1 for c in w.letters]
-    return min(indices), max(indices)
-
-
-def _join_spans(x: Seq, spans: dict) -> Tuple[int, int]:
-    kids = []
-    for it in x.items:
-        if isinstance(it, Element):
-            kids.append(spans[it])
-        else:
-            kids += spans[it[1].alpha], spans[it[1].beta]
-    los, his = zip(*kids)
-    return min(los), max(his)
-
-
 def mu(gamma: Element) -> int:
     """Largest basis index in the hereditary support of ``gamma``
     (base chunks plus, recursively, letter subscripts); 0 when only
     pi(0) occurs.  Governs where the embedding of ``gamma`` sends the
-    basis: pi(i) goes to pi(mu(gamma) + i) for i > 0."""
+    basis: pi(i) goes to pi(mu(gamma) + i) for i > 0.  The index is
+    fixed when ``gamma`` is built (``Element._hi``)."""
     if gamma is ZERO:
         raise ZeroInput("the basis offset is defined for nonzero elements")
     if gamma.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("the basis offset belongs to the free-base tower")
-    return _span(gamma)[1]
+    return gamma._hi
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +99,11 @@ def mu(gamma: Element) -> int:
 #: zeta -> {x: image of x under the embedding attached to zeta}; plain
 #: dicts, because ``_fold`` reads the children's images out of them
 _F_CACHE: dict = {}
+
+#: [hits, misses] of the ``f_eval`` calls since the last ``drop_memos``;
+#: a hit is a call answered straight from ``_F_CACHE``.  The counts are
+#: unlocked, so racing threads may lose an increment
+_F_LOOKUPS = [0, 0]
 
 
 def f_eval(zeta: Element, x: Element) -> Element:
@@ -153,9 +122,9 @@ def f_eval(zeta: Element, x: Element) -> Element:
     memo = _F_CACHE.setdefault(zeta, {})
     hit = memo.get(x)
     if hit is not None:
-        _LOOKUPS["_F_CACHE"][0] += 1
+        _F_LOOKUPS[0] += 1
         return hit
-    _LOOKUPS["_F_CACHE"][1] += 1
+    _F_LOOKUPS[1] += 1
 
     def image_of_chunk(b: Element) -> Element:
         if isinstance(b, IntChunk):
@@ -226,22 +195,11 @@ def _scalar_preimage(k: int, variant: Variant) -> Element:
     return make_int(k, variant)
 
 
-#: zeta -> {x: candidate inverse image of x under the embedding attached
-#: to zeta, or None when x has none}; plain dicts, because ``_fold``
-#: reads the children's inverse images out of them
-_INV_CACHE: dict = {}
-
-
 def _invert(zeta: Element, x: Element) -> Optional[Element]:
-    """Candidate inverse image of ``x`` under the embedding attached to
-    ``zeta``, or None, folded bottom up into ``_INV_CACHE``."""
-    if x is ZERO:
-        return ZERO
-    memo = _INV_CACHE.setdefault(zeta, {})
-    if x in memo:
-        _LOOKUPS["_INV_CACHE"][0] += 1
-        return memo[x]
-    _LOOKUPS["_INV_CACHE"][1] += 1
+    """Candidate inverse image of nonzero ``x`` under the embedding
+    attached to ``zeta``, or None, folded bottom up into a memo of this
+    call's own, so a shared subterm is inverted once per call and nothing
+    is kept after it; None in the memo means no inverse image."""
 
     def step(y: Element, memo: Optional[dict] = None) -> Optional[Element]:
         # both the leaf and the node of the fold: a Seq comes with the memo
@@ -267,7 +225,7 @@ def _invert(zeta: Element, x: Element) -> Optional[Element]:
             pieces.append(piece)
         return sum_elements(pieces)
 
-    return _fold(x, memo, step, step)
+    return _fold(x, {}, step, step)
 
 
 def _invert_free(zeta: Element, y: Element, memo: Optional[dict]) -> Optional[Element]:
@@ -344,14 +302,14 @@ def _pieces(y: Element, memo: Optional[dict], mz: int, own: set):
         elif not isinstance(p, Element):
             sign, lt = p
             ai, bi = memo[lt.alpha], memo[lt.beta]
-            if (max(_span(lt.alpha)[1], _span(lt.beta)[1]) <= mz
+            if (max(lt.alpha._hi, lt.beta._hi) <= mz
                     and (lt in own or ai is None or bi is None)):
                 yield True, p
             else:
                 yield False, _letter_over(sign, ai, bi)
         elif memo[p] is not None:
             yield False, memo[p]
-        elif _span(p)[1] <= mz:
+        elif p._hi <= mz:
             yield True, p
         else:
             stack += reversed(p.items)
@@ -384,12 +342,13 @@ def _invert_omega(zeta: Element, om_index: int, m: int) -> Optional[Element]:
 def in_w(x: Element) -> bool:
     """Membership in the invariant subgroup generated by the positive
     basis letters: hereditarily, no pi(0) in any base chunk and both
-    subscripts of every letter again members."""
+    subscripts of every letter again members, that is, the lowest basis
+    index fixed when ``x`` is built (``Element._lo``) is at least 1."""
     if x is ZERO:
         return True
     if x.variant is not Variant.B_FREE_BASE:
         raise WrongVariant("this subgroup lives in the free-base tower")
-    return _span(x)[0] >= 1
+    return x._lo >= 1
 
 
 def in_h(zeta: Element, x: Element) -> bool:
@@ -414,10 +373,8 @@ _FUNCTION_MEMOS = (_coset_split, cyclic_reduce)
 
 def _live_memos() -> dict:
     """memo -> (size, hits, misses) of the engine memos as they stand;
-    the size of a per-zeta memo counts its entries over all zetas."""
-    live = {f"nearring_maps.{name}": (sum(map(len, table.values())), *_LOOKUPS[name])
-            for name, table in (("_F_CACHE", _F_CACHE), ("_INV_CACHE", _INV_CACHE))}
-    live["nearring_maps._SPAN_CACHE"] = (len(_SPAN_CACHE), *_LOOKUPS["_SPAN_CACHE"])
+    the size of ``_F_CACHE`` counts its entries over all zetas."""
+    live = {"nearring_maps._F_CACHE": (sum(map(len, _F_CACHE.values())), *_F_LOOKUPS)}
     for fn in _FUNCTION_MEMOS:
         info = fn.cache_info()
         live[f"word_core.{fn.__name__}"] = (info.currsize, info.hits, info.misses)
@@ -440,14 +397,13 @@ def drop_memos() -> None:
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
     changes an answer.  The intern tables stay, because identity is
-    equality.  The dict memos are rebound, not cleared: a fold in flight
+    equality.  The dict memo is rebound, not cleared: a fold in flight
     on another thread finishes on the memo it was handed."""
-    global _F_CACHE, _INV_CACHE, _SPAN_CACHE, _LOOKUPS
+    global _F_CACHE, _F_LOOKUPS
     with _DROP_LOCK:
         for name, counts in _live_memos().items():
             _DROPPED[name] = _combined(_DROPPED[name], counts)
-        _F_CACHE, _INV_CACHE, _SPAN_CACHE = {}, {}, {}
-        _LOOKUPS = {name: [0, 0] for name in _LOOKUPS}
+        _F_CACHE, _F_LOOKUPS = {}, [0, 0]
         for fn in _FUNCTION_MEMOS:
             fn.cache_clear()
 

@@ -144,12 +144,18 @@ class Element:
     group exactly when they are the same object.  ``level`` is the first
     stage of the tower containing the element (-1 for zero), ``variant``
     is the tower it lives in (None for zero, which belongs to all three).
+    ``_lo`` and ``_hi`` are the lowest and highest basis index in the
+    hereditary support of a free-base element (base chunks plus, at every
+    level, letter subscripts), fixed when it is built; None for zero and
+    under variants A and C.
     """
 
     __slots__ = ()
 
     level: int = -1
     variant: Optional[Variant] = None
+    _lo: Optional[int] = None
+    _hi: Optional[int] = None
 
     def _size(self) -> int:
         raise NotImplementedError
@@ -193,13 +199,15 @@ class WordChunk(Element):
     ``-(i+1)`` for its inverse.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_lo", "_hi")
 
     level = 0
     variant = Variant.B_FREE_BASE
 
     def __init__(self, letters: Tuple[int, ...]):
         self.letters = letters
+        self._lo = min(map(abs, letters)) - 1
+        self._hi = max(map(abs, letters)) - 1
 
     def __repr__(self):
         return "p(" + ",".join(map(_int_repr, self.letters)) + ")"
@@ -252,9 +260,14 @@ class Seq(Element):
     strictly below; no pinches; each coefficient in front of a letter is
     the canonical representative of its coset; at least one letter or a
     nonzero ``omega``.
+
+    Under variant B, ``_lo`` and ``_hi`` join the spans of the
+    coefficients and of the letters' subscripts; under A and C they are
+    None.
     """
 
-    __slots__ = ("level", "variant", "items", "n_letters", "omega", "_sz", "_rp")
+    __slots__ = ("level", "variant", "items", "n_letters", "omega", "_sz", "_rp",
+                 "_lo", "_hi")
 
     def __init__(self, lvl, variant, items, omega):
         self.level = lvl
@@ -263,15 +276,22 @@ class Seq(Element):
         self.omega = omega
         n = 0
         sz = abs(omega)
+        kids = []
         for it in items:
             if isinstance(it, Element):
                 sz += it._size()
+                kids.append(it)
             else:
                 n += 1
                 sz += it[1]._sz
+                kids += it[1].alpha, it[1].beta
         self.n_letters = n
         self._sz = sz
         self._rp = None
+        self._lo = self._hi = None
+        if variant is Variant.B_FREE_BASE:
+            self._lo = min(kid._lo for kid in kids)
+            self._hi = max(kid._hi for kid in kids)
 
     def __repr__(self):
         if self._rp is None:

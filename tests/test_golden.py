@@ -64,7 +64,7 @@ def test_run_suites_times_on_stderr_only():
     # then one line per memo, after the run: the engine's memos, dropped
     # after each suite, report the largest size one suite reached
     assert [line.split()[1] for line in memos] == [
-        "nearring_maps._F_CACHE", "nearring_maps._INV_CACHE", "nearring_maps._SPAN_CACHE",
+        "nearring_maps._F_CACHE",
         "verify_suites.sample_element", "verify_suites.sample_nonzero",
         "word_core._coset_split", "word_core.cyclic_reduce"]
     assert all(re.fullmatch(r"memo \S+ peak=[1-9]\d* hits=\d+ misses=[1-9]\d*", line)

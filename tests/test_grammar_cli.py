@@ -224,16 +224,16 @@ class TestCli:
         assert list(payload) == ["suite", "variant", "seed", "count", "cases_run",
                                  "passed", "failures", "witnesses"]
 
-    @pytest.mark.parametrize("name", ["missing/report.json", "."],
-                             ids=["missing-directory", "directory"])
-    def test_check_unwritable_json_is_a_usage_error(self, name, tmp_path, capsys,
+    @pytest.mark.parametrize("path", ["missing/report.json", ".", ""],
+                             ids=["missing-directory", "directory", "empty"])
+    def test_check_unwritable_json_is_a_usage_error(self, path, tmp_path, capsys,
                                                      monkeypatch):
         calls = []
         # the report file is opened before the suite runs
         monkeypatch.setitem(SUITES, "nonequiprime", ("BC", lambda v, c: calls.append(c)))
-        path = tmp_path / name
+        monkeypatch.chdir(tmp_path)
         code = run_cli(["check", "--variant", "C", "--suite", "nonequiprime",
-                        "--count", "3", "--json", str(path)])
+                        "--count", "3", "--json", path])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

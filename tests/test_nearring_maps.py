@@ -3,6 +3,7 @@ invariant subgroups."""
 
 import math
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -34,9 +35,10 @@ from hnn_nearring import (
     render,
     sample_element,
     sample_nonzero,
+    sample_w_element,
     scale,
 )
-from hnn_nearring import nearring_maps, word_core
+from hnn_nearring import word_core
 from conftest import elements, nonzero_elements
 
 A = Variant.A_INT_BASE
@@ -211,6 +213,21 @@ class TestMu:
     @settings(max_examples=50, deadline=None)
     def test_additivity(self, g, x):
         assert mu(f_eval(g, x)) == mu(g) + mu(x)
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_span_matches_the_rendered_basis_letters(self, seed):
+        # the span each element fixes when it is built, read against the
+        # basis letters its text shows: mu is the largest index, and W
+        # holds exactly the elements whose smallest index is at least 1
+        xs = [sample_element(SampleConfig(seed=seed, count=0, max_level=depth), k, B)
+              for depth in range(5) for k in range(40)]
+        xs += [sample_w_element(SampleConfig(seed=seed, count=0, max_level=4), k)
+               for k in range(40)]
+        xs = [x for x in xs if x is not ZERO]
+        assert len(xs) > 200 and not all(map(in_w, xs)) and any(map(in_w, xs))
+        for x in xs:
+            indices = [int(i) for i in re.findall(r"pi\((\d+)\)", render(x))]
+            assert (mu(x), in_w(x)) == (max(indices), min(indices) >= 1), render(x)
 
 
 class TestPreimage:
@@ -501,8 +518,7 @@ class TestKnownFaults:
         x = parse_element("t[-3,3] + -t[2,-2] + 5", variant)
         z = parse_element("t[-2,2] + 1 + -t[-2,2]", variant)
         y = f_eval(z, x)
-        nearring_maps._INV_CACHE.pop(z, None)
-        for memo in ("cold", "warm"):  # the inverse-image memo keeps answers
+        for memo in ("cold", "warm"):  # a second search repeats the first
             detail = preimage_detail(z, y)
             assert (memo, detail.reason, detail.element) == (memo, "ok", x)
 

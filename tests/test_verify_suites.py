@@ -221,9 +221,8 @@ class TestRecordTypes:
 
 class TestMemos:
     """The two samplers are ``functools.cache`` functions, and ``_invert``
-    folds into ``_INV_CACHE``, where ``None`` stands for no inverse image;
-    a memo may change the cost of a run, never its elements or its report
-    bytes."""
+    folds into a memo of its own call; a memo may change the cost of a
+    run, never its elements or its report bytes."""
 
     SAMPLERS = (sample_element, sample_nonzero)
 
@@ -267,7 +266,6 @@ class TestMemos:
         config = SampleConfig(seed=7, count=200, max_level=3)
         for sampler in self.SAMPLERS:
             sampler.cache_clear()
-        nearring_maps._INV_CACHE.clear()
         pairs = [(tag, runner) for tags, runner in SUITES.values() for tag in tags]
         assert len(pairs) == 14
         for tag, runner in reversed(pairs):
@@ -276,22 +274,19 @@ class TestMemos:
             assert write_report(report) == path.read_bytes()
 
     def test_inverse_memo_repeats_the_cold_answer(self):
-        # the memo stores a missing inverse image as None, so a warm search
-        # gives the cold reason, no_parse included (the merged-block pair of
-        # TestKnownFaults)
+        # a warm search gives the cold reason, no_parse included (the
+        # merged-block pair of TestKnownFaults)
         cfg = SampleConfig(seed=109, count=0, max_level=3)
         cases = [(parse_element("t[-2,2] + 1 + -t[-2,2]", v),
                   parse_element("t[-3,3] + -t[2,-2] + 5", v)) for v in (A, C)]
         cases += [(sample_nonzero(cfg, 2 * k, v), sample_element(cfg, 2 * k + 1, v))
                   for k in range(20) for v in (A, B, C)]
         xs = [f_eval(z, y) for z, y in cases]
-        nearring_maps._INV_CACHE.clear()
         cold = [preimage_detail(z, x) for (z, _), x in zip(cases, xs)]
         assert {"ok", "no_parse"} <= {d.reason for d in cold}
         warm = [preimage_detail(z, x) for (z, _), x in zip(cases, xs)]
         assert warm == cold
-        stored = nearring_maps._INV_CACHE[cases[0][0]][xs[0]]
-        assert cold[0].reason == "no_parse" and stored is None
+        assert cold[0].reason == "no_parse"
 
 
 #: the seven public suites, with the arguments of a small run
@@ -310,8 +305,7 @@ ENGINE_FUNCTION_MEMOS = (word_core._coset_split, word_core.cyclic_reduce)
 
 
 def _engine_memo_sizes():
-    tables = (nearring_maps._F_CACHE, nearring_maps._INV_CACHE, nearring_maps._SPAN_CACHE)
-    return ([len(table) for table in tables]
+    return ([len(nearring_maps._F_CACHE)]
             + [fn.cache_info().currsize for fn in ENGINE_FUNCTION_MEMOS])
 
 
@@ -322,7 +316,7 @@ def _image_cases(seed, max_level=3, per_variant=10):
 
 
 class TestMemoDrop:
-    """Every public suite drops the engine's five memos when it returns;
+    """Every public suite drops the engine's three memos when it returns;
     the intern tables and the samplers' memos stay, so the elements a
     caller kept are the ones a recomputation returns."""
 
@@ -333,7 +327,7 @@ class TestMemoDrop:
         kept = [dict(table) for table in tables]
         misses = sum(m for _, _, m in nearring_maps.memo_stats().values())
         suite(*args)
-        assert _engine_memo_sizes() == [0] * 5
+        assert _engine_memo_sizes() == [0] * 3
         # the suite filled the memos before they were dropped
         assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > misses
         for name, table, old in zip(INTERN_TABLES, tables, kept):
@@ -350,7 +344,7 @@ class TestMemoDrop:
         monkeypatch.setattr(nearring_maps, "mul", failing_mul)
         with pytest.raises(EngineError, match="product refused"):
             witness_nonequiprime_C(SMALL)
-        assert _engine_memo_sizes() == [0] * 5
+        assert _engine_memo_sizes() == [0] * 3
 
     def test_kept_elements_are_recomputed_identically(self):
         cases = _image_cases(113)
@@ -360,7 +354,7 @@ class TestMemoDrop:
         reduced = [cyclic_reduce(x) for x in nonzero]
         offsets = [mu(z) for z, _ in cases if z.variant is B]
         nearring_maps.drop_memos()
-        assert _engine_memo_sizes() == [0] * 5
+        assert _engine_memo_sizes() == [0] * 3
         assert all(f_eval(z, x) is y for (z, x), y in zip(cases, images))
         assert all(preimage(z, y) is x for (z, _), y, x in zip(cases, images, back))
         assert all(u is v for x, pair in zip(nonzero, reduced)
@@ -386,25 +380,6 @@ class TestMemoDrop:
         assert all(f_eval(z, x) is y for (z, x), y in zip(cases, clean))
         assert len(drops) > len(cases)
 
-    def test_drop_inside_a_span_fold_gives_the_clean_offset(self, monkeypatch):
-        # the span fold reads the children's spans out of the memo it was
-        # handed, so a drop must rebind the memo, not clear it
-        zetas = [z for z, _ in _image_cases(137, max_level=4) if z.variant is B]
-        nearring_maps.drop_memos()
-        clean = [mu(z) for z in zetas]
-        nearring_maps.drop_memos()
-        drops = []
-        join_spans = nearring_maps._join_spans
-
-        def dropping(x, spans):
-            drops.append(None)
-            nearring_maps.drop_memos()
-            return join_spans(x, spans)
-
-        monkeypatch.setattr(nearring_maps, "_join_spans", dropping)
-        assert [mu(z) for z in zetas] == clean
-        assert len(drops) > len(zetas)
-
     def test_drop_reaches_memos_behind_rebound_names(self, monkeypatch):
         # a tracer rebinds the engine's public names to plain wrappers
         reduce = word_core.cyclic_reduce
@@ -413,14 +388,14 @@ class TestMemoDrop:
         cyclic_reduce(make_pi([(1, 1), (2, 1), (1, -1)]))
         assert reduce.cache_info().currsize > 0
         nearring_maps.drop_memos()
-        assert _engine_memo_sizes() == [0] * 5
+        assert _engine_memo_sizes() == [0] * 3
 
     def test_drop_keeps_the_counts(self):
         f_eval(make_pi([1]), sample_element(SMALL, 3, B))
         before = nearring_maps.memo_stats()
         nearring_maps.drop_memos()
         assert nearring_maps.memo_stats() == before
-        assert len(before) == 5 and before["nearring_maps._F_CACHE"][0] > 0
+        assert len(before) == 3 and before["nearring_maps._F_CACHE"][0] > 0
 
     def test_threads_fold_through_drops(self):
         # folds on three threads while a fourth drops the memos; each
