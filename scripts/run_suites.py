@@ -2,9 +2,10 @@
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
-the run by the peak size, hits and misses of every library memo (the
-engine's memos are dropped after each suite, so their peak is the
-largest one suite reached), the size of every intern table, the number
+the run by the peak size, hits and misses of every library memo (each
+suite starts from empty engine memos, so their counts are read after
+every suite and summed, and their peak is the largest one suite
+reached), the size of every intern table, the number
 of cyclic-collector runs per generation and the peak resident set size
 of the process, so stdout and the reports stay identical from run to
 run.  A suite that meets an engine error (an element too large to
@@ -44,6 +45,7 @@ def main() -> int:
             return _cannot_write(args.json_dir, exc)
 
     all_passed = True
+    engine = {}  # engine memo -> (peak, hits, misses) over the suites run
     for tags, runner in SUITES.values():
         for tag in tags:
             variant = Variant(tag)
@@ -54,6 +56,9 @@ def main() -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             elapsed = time.perf_counter() - start
+            for name, (size, hits, misses) in memo_stats().items():
+                peak, total_hits, total_misses = engine.get(name, (0, 0, 0))
+                engine[name] = max(peak, size), total_hits + hits, total_misses + misses
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"
             print(f"{status}  {report.suite_name:28s} variant={tag} "
@@ -68,7 +73,7 @@ def main() -> int:
                     path.write_bytes(write_report(report))
                 except OSError as exc:
                     return _cannot_write(path, exc)
-    memos = _memo_stats()
+    memos = _memo_stats(engine)
     for name, (peak, hits, misses) in memos:
         print(f"memo {name} peak={peak} hits={hits} misses={misses}", file=sys.stderr)
     for name, size in _table_stats(dict(memos)):
@@ -93,12 +98,11 @@ def _library_modules():
             if name.startswith("hnn_nearring.")]
 
 
-def _memo_stats():
+def _memo_stats(engine):
     """``(name, (peak, hits, misses))`` of every memo: the engine's from
-    ``memo_stats``, and every other memoized library function, found by
-    its ``cache_info`` attribute and never dropped, from its current
-    size."""
-    found = memo_stats()
+    ``engine``, and every other memoized library function, found by its
+    ``cache_info`` attribute and never dropped, from its current size."""
+    found = dict(engine)
     for mod_name, short, module in _library_modules():
         for fn in vars(module).values():
             if hasattr(fn, "cache_info") and fn.__module__ == mod_name:

@@ -14,7 +14,6 @@ embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
-import threading
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -363,55 +362,34 @@ def in_h(zeta: Element, x: Element) -> bool:
 # Memo lifetime
 # ---------------------------------------------------------------------------
 
-#: held while the drop record is read or moved, so racing drops count
-#: each memo once
-_DROP_LOCK = threading.Lock()
 #: the word engine's functools memos, held from import on, so a wrapper
 #: later bound to their names (a tracer, say) leaves them reachable
 _FUNCTION_MEMOS = (_coset_split, cyclic_reduce)
 
 
-def _live_memos() -> dict:
-    """memo -> (size, hits, misses) of the engine memos as they stand;
-    the size of ``_F_CACHE`` counts its entries over all zetas."""
-    live = {"nearring_maps._F_CACHE": (sum(map(len, _F_CACHE.values())), *_F_LOOKUPS)}
-    for fn in _FUNCTION_MEMOS:
-        info = fn.cache_info()
-        live[f"word_core.{fn.__name__}"] = (info.currsize, info.hits, info.misses)
-    return live
-
-
-def _combined(total, counts):
-    """``(peak, hits, misses)`` over ``total`` and one more memo's counts."""
-    return max(total[0], counts[0]), total[1] + counts[1], total[2] + counts[2]
-
-
-#: memo -> (largest size, hits, misses) over the memos dropped so far
-_DROPPED = dict.fromkeys(_live_memos(), (0, 0, 0))
-
-
 def drop_memos() -> None:
-    """Empty the engine's memo tables, keeping their sizes and lookup
-    counts in the record that ``memo_stats`` reads.
+    """Empty the engine's memo tables and their lookup counts; every
+    public suite calls this first, so the memos live from the start of
+    one suite to the start of the next.
 
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
     changes an answer.  The intern tables stay, because identity is
-    equality.  The dict memo is rebound, not cleared: a fold in flight
-    on another thread finishes on the memo it was handed."""
-    global _F_CACHE, _F_LOOKUPS
-    with _DROP_LOCK:
-        for name, counts in _live_memos().items():
-            _DROPPED[name] = _combined(_DROPPED[name], counts)
-        _F_CACHE, _F_LOOKUPS = {}, [0, 0]
-        for fn in _FUNCTION_MEMOS:
-            fn.cache_clear()
+    equality.  ``_F_CACHE`` is cleared in place: a fold in flight on
+    another thread holds its own zeta's inner dict, not ``_F_CACHE``, and
+    finishes on it."""
+    _F_CACHE.clear()
+    _F_LOOKUPS[:] = 0, 0
+    for fn in _FUNCTION_MEMOS:
+        fn.cache_clear()
 
 
 def memo_stats() -> dict:
-    """memo -> (peak, hits, misses) of every engine memo over the
-    process: the largest size it reached, dropped or live, and the hits
-    and misses of its dropped tables and its live one together."""
-    with _DROP_LOCK:
-        return {name: _combined(_DROPPED[name], counts)
-                for name, counts in _live_memos().items()}
+    """memo -> (size, hits, misses) of every engine memo as it stands,
+    counted since the last ``drop_memos``; the size of ``_F_CACHE`` counts
+    its entries over all zetas."""
+    stats = {"nearring_maps._F_CACHE": (sum(map(len, _F_CACHE.values())), *_F_LOOKUPS)}
+    for fn in _FUNCTION_MEMOS:
+        info = fn.cache_info()
+        stats[f"word_core.{fn.__name__}"] = (info.currsize, info.hits, info.misses)
+    return stats

@@ -5,9 +5,12 @@ checks one family of desk-checkable claims (nearring axioms, universal
 conjugacy, the non-equiprime witnesses, equiprime instances, invariant
 subgroup closure, failure of left distributivity) and returns a
 machine-readable ``Report``.  Identical configs produce identical
-reports; cases are evaluated in stream order.  ``SUITES`` names every
-suite and the variants it runs under, for the command line and the
-scripts.
+reports; cases are evaluated in stream order.  Every suite first
+empties the engine's memos (``drop_memos``), so a run holds one suite's
+memos at a time and what ``memo_stats`` reads after a suite is that
+suite's alone; the samplers' memos stay, as suites redraw each other's
+positions.  ``SUITES`` names every suite and the variants it runs under,
+for the command line and the scripts.
 """
 
 from __future__ import annotations
@@ -209,26 +212,10 @@ def sample_w_element(config: SampleConfig, position: int) -> Element:
 # Suites
 # ---------------------------------------------------------------------------
 
-def _drops_memos(suite):
-    """Drop the engine's memo tables when ``suite`` returns or raises,
-    so a run holds one suite's memos at a time.  Little of them is read
-    again by a later suite, which recomputes it; the samplers' memos stay,
-    as suites redraw each other's positions."""
-
-    @functools.wraps(suite)
-    def run(*args, **kwargs):
-        try:
-            return suite(*args, **kwargs)
-        finally:
-            nr.drop_memos()
-
-    return run
-
-
-@_drops_memos
 def check_nearring_axioms(variant: Variant, config: SampleConfig) -> Report:
     """Right distributivity, associativity of the product, two-sided
     identity, zero symmetry; sampled triples."""
+    nr.drop_memos()
     rep = Report("nearring_axioms", variant, config, 0)
     one = nr.identity_element(variant)
     for case in range(config.count):
@@ -252,10 +239,10 @@ def check_nearring_axioms(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def check_conjugacy(variant: Variant, config: SampleConfig) -> Report:
     """Any two distinct nonzero elements are conjugate through their
     letter: ``-t + alpha + t`` normalizes exactly to ``beta``."""
+    nr.drop_memos()
     rep = Report("conjugacy", variant, config, 0)
     for case in range(config.count):
         alpha = sample_nonzero(config, 2 * case, variant)
@@ -272,10 +259,10 @@ def check_conjugacy(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def witness_nonequiprime_B(config: SampleConfig) -> Report:
     """With a = b = pi(1) and c = 2*pi(1), the products a*x*b and a*x*c
     agree for every x although b and c differ."""
+    nr.drop_memos()
     variant = Variant.B_FREE_BASE
     rep = Report("nonequiprime_B", variant, config, 0)
     a = wc.make_pi([1])
@@ -294,10 +281,10 @@ def witness_nonequiprime_B(config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def witness_nonequiprime_C(config: SampleConfig) -> Report:
     """With the distinct integers zeta1 = 2 and zeta2 = 3 outside {0, 1},
     the products om(0)*tau*zeta1 and om(0)*tau*zeta2 agree for every tau."""
+    nr.drop_memos()
     variant = Variant.C_INT_OMEGA_BASE
     zeta1, zeta2 = 2, 3
     rep = Report("nonequiprime_C", variant, config, 0)
@@ -318,11 +305,11 @@ def witness_nonequiprime_C(config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def check_equiprime_instances_A(config: SampleConfig) -> Report:
     """Instance evidence that the integer-base nearring is equiprime:
     x = t[1,-1] distinguishes any distinct nonzero b, c against any
     nonzero a, and ``t[1,-1] * b`` is exactly ``t[b,-b]``."""
+    nr.drop_memos()
     variant = Variant.A_INT_BASE
     rep = Report("equiprime_instances_A", variant, config, 0)
     one = wc.make_int(1, variant)
@@ -347,13 +334,13 @@ def check_equiprime_instances_A(config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def check_invariant_subgroups(variant: Variant, config: SampleConfig) -> Report:
     """Closure of the designated invariant subgroup under multiplication
     from both sides, plus nontriviality and an empirical properness
     record.  The subgroup is the image of the embedding of its generator
     (W of pi(1) under B, H of om(0) under C), so members are sampled as
     images of sampled elements."""
+    nr.drop_memos()
     rep = Report("invariant_subgroups", variant, config, 0)
     if variant is Variant.B_FREE_BASE:
         gen, name = wc.make_pi([1]), "w"
@@ -383,11 +370,11 @@ def check_invariant_subgroups(variant: Variant, config: SampleConfig) -> Report:
     return rep
 
 
-@_drops_memos
 def find_left_distrib_counterexample(variant: Variant, config: SampleConfig) -> Report:
     """Search sampled triples for c*(a+b) != c*a + c*b; passes exactly
     when a counterexample turns up, witnessing that the structure is a
     nearring and not a ring."""
+    nr.drop_memos()
     rep = Report("left_distrib_counterexample", variant, config, 0)
     for case in range(config.count):
         c = sample_element(config, 3 * case, variant)

@@ -61,19 +61,19 @@ def test_run_suites_times_on_stderr_only():
     timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-6]
     tables, collections, peak_rss = lines[-6:-2], lines[-2], lines[-1]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
-    # then one line per memo, after the run: the engine's memos, dropped
-    # after each suite, report the largest size one suite reached
-    assert [line.split()[1] for line in memos] == [
-        "nearring_maps._F_CACHE",
-        "verify_suites.sample_element", "verify_suites.sample_nonzero",
-        "word_core._coset_split", "word_core.cyclic_reduce"]
-    assert all(re.fullmatch(r"memo \S+ peak=[1-9]\d* hits=\d+ misses=[1-9]\d*", line)
-               for line in memos)
+    # then one line per memo, after the run: the engine's memos, emptied
+    # as each suite starts, report the largest size one suite reached and
+    # the hits and misses of all suites together
+    assert memos == [
+        "memo nearring_maps._F_CACHE peak=44 hits=33 misses=121",
+        "memo verify_suites.sample_element peak=27 hits=21 misses=27",
+        "memo verify_suites.sample_nonzero peak=21 hits=12 misses=21",
+        "memo word_core._coset_split peak=29 hits=43 misses=75",
+        "memo word_core.cyclic_reduce peak=12 hits=61 misses=56"]
     # then one line per intern table
-    assert [line.split()[1] for line in tables] == [
-        "word_core._INT_CACHE", "word_core._LETTER_CACHE", "word_core._SEQ_CACHE",
-        "word_core._WORD_CACHE"]
-    assert all(re.fullmatch(r"table \S+ size=[1-9]\d*", line) for line in tables)
+    assert tables == [
+        "table word_core._INT_CACHE size=41", "table word_core._LETTER_CACHE size=58",
+        "table word_core._SEQ_CACHE size=143", "table word_core._WORD_CACHE size=65"]
     # then the collector runs per generation, and last the peak resident
     # set size of the process
     assert re.fullmatch(r"gc collections=\d+/\d+/\d+", collections)

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -445,6 +446,19 @@ class TestStartUp:
         assert proc.stdout.splitlines()[-1] == "0 True"
         golden = _SRC.parent / "tests" / "golden" / "left_distrib_counterexample_A_seed7.json"
         assert path.read_bytes() == golden.read_bytes()
+
+    def test_the_package_import_loads_every_library_module(self):
+        # the benchmark takes each module's import time from this output,
+        # with this pattern (bench/run.py, import_seconds), and stops on a
+        # module it finds no line for
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import hnn_nearring"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        pattern = re.compile(r"import time:\s*(\d+) \|\s*\d+ \|\s*hnn_nearring\.(\w+)\s*$")
+        loaded = {m.group(2) for m in map(pattern.match, proc.stderr.splitlines()) if m}
+        missing = {"word_core", "nearring_maps", "grammar", "verify_suites", "cli_io"} - loaded
+        assert not missing, (f"import hnn_nearring no longer loads {sorted(missing)}; a lazy "
+                             "module waits for the benchmark change of ROADMAP item 7")
 
 
 class TestReports:

@@ -1,7 +1,8 @@
-"""No module of the library or of ``scripts/`` imports a name it never
-uses.  No linter ships with the project, so this reads each module's
-syntax tree with the standard library; ``__init__`` is left out, since
-its imports are the package's re-exports."""
+"""No module of the library, of ``scripts/`` or of the tests imports a
+name it never uses.  No linter ships with the project, so this reads
+each module's syntax tree with the standard library; the package
+``__init__`` is left out, since its imports are the package's
+re-exports."""
 
 import ast
 import pathlib
@@ -10,7 +11,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in [*(ROOT / "src" / "hnn_nearring").glob("*.py"),
-                             *(ROOT / "scripts").glob("*.py")]
+                             *(ROOT / "scripts").glob("*.py"),
+                             *(ROOT / "tests").glob("*.py")]
                  if p.name != "__init__.py")
 
 

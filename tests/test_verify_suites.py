@@ -1,5 +1,5 @@
 """Sampler determinism, coverage and memos; every suite passes at small
-scale and drops the engine's memos when it returns."""
+scale and starts from empty engine memos."""
 
 import pathlib
 import sys
@@ -316,35 +316,68 @@ def _image_cases(seed, max_level=3, per_variant=10):
 
 
 class TestMemoDrop:
-    """Every public suite drops the engine's three memos when it returns;
+    """Every public suite empties the engine's three memos when it starts;
     the intern tables and the samplers' memos stay, so the elements a
     caller kept are the ones a recomputation returns."""
+
+    #: an embedding image that no suite computes: no sampled basis index
+    #: reaches 9
+    PLANTED = (make_pi([(9, 2)]), make_pi([(9, -1), (0, 1)]))
+
+    def _plant(self):
+        zeta, x = self.PLANTED
+        f_eval(zeta, x)
+        assert x in nearring_maps._F_CACHE[zeta]
+
+    def _planted_is_gone(self):
+        zeta, x = self.PLANTED
+        return x not in nearring_maps._F_CACHE.get(zeta, {})
 
     @pytest.mark.parametrize("suite, args", SUITE_CALLS,
                              ids=[suite.__name__ for suite, _ in SUITE_CALLS])
     def test_suite_drops_the_memos_and_keeps_the_intern_tables(self, suite, args):
         tables = [getattr(word_core, name) for name in INTERN_TABLES]
+        self._plant()
         kept = [dict(table) for table in tables]
-        misses = sum(m for _, _, m in nearring_maps.memo_stats().values())
         suite(*args)
-        assert _engine_memo_sizes() == [0] * 3
-        # the suite filled the memos before they were dropped
-        assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > misses
+        # the suite started from empty memos, and they hold what it filled
+        # them with
+        assert self._planted_is_gone()
+        assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > 0
         for name, table, old in zip(INTERN_TABLES, tables, kept):
             assert getattr(word_core, name) is table
             assert all(table[key] is value for key, value in old.items())
         assert sample_element.cache_info().currsize > 0
 
-    def test_a_raising_suite_drops_the_memos(self, monkeypatch):
+    def test_a_suite_after_a_raising_suite_starts_empty(self, monkeypatch):
         def failing_mul(a, b):
+            self._plant()
             raise EngineError("product refused")
 
-        f_eval(make_pi([1]), sample_element(SMALL, 1, B))
-        assert nearring_maps._F_CACHE
-        monkeypatch.setattr(nearring_maps, "mul", failing_mul)
-        with pytest.raises(EngineError, match="product refused"):
-            witness_nonequiprime_C(SMALL)
-        assert _engine_memo_sizes() == [0] * 3
+        witness_nonequiprime_B(SMALL)  # warms the samplers
+        clean = nearring_maps.memo_stats()
+        with monkeypatch.context() as patch:
+            patch.setattr(nearring_maps, "mul", failing_mul)
+            with pytest.raises(EngineError, match="product refused"):
+                witness_nonequiprime_C(SMALL)
+        assert not self._planted_is_gone()
+        witness_nonequiprime_B(SMALL)
+        assert self._planted_is_gone()
+        assert nearring_maps.memo_stats() == clean
+
+    def test_memo_counts_after_a_suite_ignore_the_suite_before(self):
+        # a cold sampler draw fills the coset memo itself, so every stream
+        # is drawn once before the counts are compared
+        for suite, args in SUITE_CALLS:
+            suite(*args)
+        check_nearring_axioms(B, SMALL)
+        counts = []
+        for suite, args in SUITE_CALLS:
+            suite(*args)
+            check_nearring_axioms(B, SMALL)
+            counts.append(nearring_maps.memo_stats())
+        assert all(c == counts[0] for c in counts)
+        assert counts[0]["nearring_maps._F_CACHE"][2] > 0
 
     def test_kept_elements_are_recomputed_identically(self):
         cases = _image_cases(113)
@@ -389,13 +422,6 @@ class TestMemoDrop:
         assert reduce.cache_info().currsize > 0
         nearring_maps.drop_memos()
         assert _engine_memo_sizes() == [0] * 3
-
-    def test_drop_keeps_the_counts(self):
-        f_eval(make_pi([1]), sample_element(SMALL, 3, B))
-        before = nearring_maps.memo_stats()
-        nearring_maps.drop_memos()
-        assert nearring_maps.memo_stats() == before
-        assert len(before) == 3 and before["nearring_maps._F_CACHE"][0] > 0
 
     def test_threads_fold_through_drops(self):
         # folds on three threads while a fourth drops the memos; each
