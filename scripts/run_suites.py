@@ -5,11 +5,13 @@ Each suite's wall time and rate (cases/s) go to stderr, followed after
 the run by the peak size, hits and misses of every library memo (each
 suite starts from empty engine memos, so their counts are read after
 every suite and summed, and their peak is the largest one suite
-reached), the size of every intern table, the number
-of cyclic-collector runs per generation and the peak resident set size
-of the process, so stdout and the reports stay identical from run to
-run.  A suite that meets an engine error (an element too large to
-materialize) ends the run with one ``error:`` line and exit status 2.
+reached), the size of every intern table at the end and its peak (each
+suite start frees the values nothing holds, so the peak is the largest
+size any suite ended with), the number of cyclic-collector runs per
+generation and the peak resident set size of the process, so stdout
+and the reports stay identical from run to run.  A suite that meets an
+engine error (an element too large to materialize) ends the run with
+one ``error:`` line and exit status 2.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -46,6 +48,7 @@ def main() -> int:
 
     all_passed = True
     engine = {}  # engine memo -> (peak, hits, misses) over the suites run
+    table_peaks = {}  # intern table -> largest size a suite ended with
     for tags, runner in SUITES.values():
         for tag in tags:
             variant = Variant(tag)
@@ -59,6 +62,8 @@ def main() -> int:
             for name, (size, hits, misses) in memo_stats().items():
                 peak, total_hits, total_misses = engine.get(name, (0, 0, 0))
                 engine[name] = max(peak, size), total_hits + hits, total_misses + misses
+            for name, size in _table_stats(engine):
+                table_peaks[name] = max(table_peaks.get(name, 0), size)
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"
             print(f"{status}  {report.suite_name:28s} variant={tag} "
@@ -77,7 +82,7 @@ def main() -> int:
     for name, (peak, hits, misses) in memos:
         print(f"memo {name} peak={peak} hits={hits} misses={misses}", file=sys.stderr)
     for name, size in _table_stats(dict(memos)):
-        print(f"table {name} size={size}", file=sys.stderr)
+        print(f"table {name} size={size} peak={table_peaks[name]}", file=sys.stderr)
     print("gc collections=" + "/".join(str(g["collections"]) for g in gc.get_stats()),
           file=sys.stderr)
     # ru_maxrss is in KiB on Linux

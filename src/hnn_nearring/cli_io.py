@@ -25,9 +25,11 @@ __all__ = ["GC_THRESHOLD", "build_parser", "int_at_least", "main", "run_cli",
            "write_report"]
 
 #: the cyclic collector's thresholds in the applications (``main`` and
-#: ``scripts/run_suites.py``): the interning and memo tables are never
-#: freed, so the default first-generation threshold of 700 makes the
-#: collector traverse them again and again; the library itself leaves the
+#: ``scripts/run_suites.py``): the interning and memo tables keep tens of
+#: thousands of objects alive for a suite, and what they let go at a suite
+#: start is freed by reference counting, not by the collector, so the
+#: default first-generation threshold of 700 makes the collector traverse
+#: live tables again and again; the library itself leaves the
 #: process-global setting alone
 GC_THRESHOLD = (50000, 50, 50)
 

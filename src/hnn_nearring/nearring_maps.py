@@ -14,6 +14,7 @@ embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
+import threading
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -36,6 +37,7 @@ from .word_core import (
     _join_variants,
     _letter,
     _signed,
+    _sweep,
     _word_from,
     cyclic_reduce,
     make_int,
@@ -368,20 +370,27 @@ _FUNCTION_MEMOS = (_coset_split, cyclic_reduce)
 
 
 def drop_memos() -> None:
-    """Empty the engine's memo tables and their lookup counts; every
-    public suite calls this first, so the memos live from the start of
-    one suite to the start of the next.
+    """Empty the engine's memo tables and their lookup counts, then free
+    the interned values nothing holds any more; every public suite calls
+    this first, so the memos live from the start of one suite to the
+    start of the next, and so does a value only they held.
 
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
-    changes an answer.  The intern tables stay, because identity is
-    equality.  ``_F_CACHE`` is cleared in place: a fold in flight on
-    another thread holds its own zeta's inner dict, not ``_F_CACHE``, and
-    finishes on it."""
+    changes an answer.  The intern tables lose only values no reference
+    reaches (``word_core._sweep``), so identity stays equality.  The
+    sweep waits while another thread runs, as that thread could look a
+    value up between the sweep's count of its references and its
+    deletion; the next call with one thread frees what was left.
+    ``_F_CACHE`` is cleared in place: a fold in flight on another thread
+    holds its own zeta's inner dict, not ``_F_CACHE``, and finishes on
+    it."""
     _F_CACHE.clear()
     _F_LOOKUPS[:] = 0, 0
     for fn in _FUNCTION_MEMOS:
         fn.cache_clear()
+    if threading.active_count() == 1:
+        _sweep()
 
 
 def memo_stats() -> dict:

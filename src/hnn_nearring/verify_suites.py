@@ -6,11 +6,12 @@ conjugacy, the non-equiprime witnesses, equiprime instances, invariant
 subgroup closure, failure of left distributivity) and returns a
 machine-readable ``Report``.  Identical configs produce identical
 reports; cases are evaluated in stream order.  Every suite first
-empties the engine's memos (``drop_memos``), so a run holds one suite's
-memos at a time and what ``memo_stats`` reads after a suite is that
-suite's alone; the samplers' memos stay, as suites redraw each other's
-positions.  ``SUITES`` names every suite and the variants it runs under,
-for the command line and the scripts.
+empties the engine's memos and frees the interned values nothing holds
+(``drop_memos``), so a run holds one suite's memos at a time and what
+``memo_stats`` reads after a suite is that suite's alone; the samplers'
+memos stay, as suites redraw each other's positions, and so do the
+values they hold.  ``SUITES`` names every suite and the variants it
+runs under, for the command line and the scripts.
 """
 
 from __future__ import annotations

@@ -25,7 +25,11 @@ keys built from them hash and compare at C speed and memo tables keyed
 on operands cost O(1).  Hashes are then addresses, which differ between
 runs, so no output may depend on the iteration order of a set of them.
 Each value is stored once: a ``Seq`` is keyed on its own stream, and a
-signed letter is one of the two pairs its ``StableLetter`` owns.
+signed letter is one of the two pairs its ``StableLetter`` owns.  A value
+is kept while anything outside its intern table holds it: ``_sweep``
+deletes the values interned since it last ran that nothing else holds,
+so a lookup pays nothing for the bound and no two live objects ever
+share a value.
 """
 
 from __future__ import annotations
@@ -317,11 +321,16 @@ class Seq(Element):
 # the second of two racing misses overwrite the first and hand out two
 # objects for one value.  A Seq without a central part is keyed on its
 # own items (its letters fix level and variant); one with it, on (level,
-# items, omega), which no items tuple equals, as none holds an int
+# items, omega), which no items tuple equals, as none holds an int.
+# Every miss also appends the stored value to _YOUNG, for _sweep
 _INT_CACHE: dict = {}
 _WORD_CACHE: dict = {}
 _LETTER_CACHE: dict = {}
 _SEQ_CACHE: dict = {}
+
+#: the values interned since the last ``_sweep``, oldest first (a value
+#: twice if two threads raced to intern it)
+_YOUNG: list = []
 
 
 def _intern_int(n, variant):
@@ -329,6 +338,7 @@ def _intern_int(n, variant):
     el = _INT_CACHE.get(key)
     if el is None:
         el = _INT_CACHE.setdefault(key, IntChunk(n, variant))
+        _YOUNG.append(el)
     return el
 
 
@@ -336,6 +346,7 @@ def _intern_word(letters):
     el = _WORD_CACHE.get(letters)
     if el is None:
         el = _WORD_CACHE.setdefault(letters, WordChunk(letters))
+        _YOUNG.append(el)
     return el
 
 
@@ -344,6 +355,7 @@ def _intern_letter(alpha, beta):
     lt = _LETTER_CACHE.get(key)
     if lt is None:
         lt = _LETTER_CACHE.setdefault(key, StableLetter(alpha, beta))
+        _YOUNG.append(lt)
     return lt
 
 
@@ -352,7 +364,59 @@ def _intern_seq(lvl, variant, items, omega):
     el = _SEQ_CACHE.get(key)
     if el is None:
         el = _SEQ_CACHE.setdefault(key, Seq(lvl, variant, items, omega))
+        _YOUNG.append(el)
     return el
+
+
+def _unheld_refcount() -> int:
+    """``sys.getrefcount`` of a value that one container holds besides
+    the local it is read through, read as ``_sweep`` reads it: CPython
+    versions count a local and a call argument differently, so the
+    figure is measured here rather than written down."""
+    young, refs = [object()], sys.getrefcount
+    table = {None: young[0]}
+    v = young.pop()
+    return refs(v)
+
+
+_UNHELD = _unheld_refcount()
+
+
+def _sweep() -> None:
+    """Delete from its intern table every value interned since the last
+    sweep that nothing but the table holds, newest first.
+
+    Creation order is dependency order, so a value freed here releases
+    its parts before they come up, and the same pass frees the parts
+    that only it held; a value something held survives and is never
+    looked at again.  A ``StableLetter`` also needs its two signed pairs
+    unheld, and its ``_pos``/``_neg`` cycle is broken so that reference
+    counting frees it.  A value is deleted only when no reference to it
+    exists anywhere, so the next build of that value makes the one
+    object of it, and identity stays equality.  Not safe while another
+    thread runs: it could look a value up between the count of its
+    references and its deletion."""
+    young, unheld, refs = _YOUNG, _UNHELD, sys.getrefcount
+    while young:
+        # rebinding v releases the value before, and what only it held
+        v = young.pop()
+        cls = type(v)
+        if cls is Seq:
+            if refs(v) == unheld:
+                del _SEQ_CACHE[(v.level, v.items, v.omega) if v.omega else v.items]
+        elif cls is StableLetter:
+            pos, neg_ = v._pos, v._neg
+            # each pair holds the letter once
+            if refs(v) == unheld + 2 and refs(pos) == unheld and refs(neg_) == unheld:
+                del _LETTER_CACHE[v.alpha, v.beta]
+                v._pos = v._neg = None
+            # kept past this value, the pairs would keep the letter alive
+            del pos, neg_
+        elif refs(v) == unheld:
+            if cls is IntChunk:
+                del _INT_CACHE[v.n, v.variant]
+            else:
+                del _WORD_CACHE[v.letters]
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,14 @@ def test_run_suites_times_on_stderr_only():
         "memo verify_suites.sample_nonzero peak=21 hits=12 misses=21",
         "memo word_core._coset_split peak=29 hits=43 misses=75",
         "memo word_core.cyclic_reduce peak=12 hits=61 misses=56"]
-    # then one line per intern table
+    # then one line per intern table: its size after the run, and the
+    # largest size a suite ended with, as each suite start frees the
+    # values nothing holds
     assert tables == [
-        "table word_core._INT_CACHE size=41", "table word_core._LETTER_CACHE size=58",
-        "table word_core._SEQ_CACHE size=143", "table word_core._WORD_CACHE size=65"]
+        "table word_core._INT_CACHE size=25 peak=26",
+        "table word_core._LETTER_CACHE size=19 peak=25",
+        "table word_core._SEQ_CACHE size=22 peak=41",
+        "table word_core._WORD_CACHE size=23 peak=57"]
     # then the collector runs per generation, and last the peak resident
     # set size of the process
     assert re.fullmatch(r"gc collections=\d+/\d+/\d+", collections)

@@ -317,8 +317,9 @@ def _image_cases(seed, max_level=3, per_variant=10):
 
 class TestMemoDrop:
     """Every public suite empties the engine's three memos when it starts;
-    the intern tables and the samplers' memos stay, so the elements a
-    caller kept are the ones a recomputation returns."""
+    the samplers' memos stay, and so does every interned value a caller
+    or a sampler holds, so the elements a caller kept are the ones a
+    recomputation returns."""
 
     #: an embedding image that no suite computes: no sampled basis index
     #: reaches 9

@@ -19,6 +19,7 @@ from hnn_nearring import (
     ZeroAlpha,
     ZeroInput,
     add,
+    check_nearring_axioms,
     conjugator,
     cyclic_reduce,
     equal,
@@ -32,6 +33,7 @@ from hnn_nearring import (
     parse_element,
     power_of,
     preimage,
+    render,
     renormalize,
     sample_element,
     scale,
@@ -39,7 +41,7 @@ from hnn_nearring import (
     sum_elements,
     top_letter_count,
 )
-from hnn_nearring import word_core
+from hnn_nearring import nearring_maps, word_core
 from conftest import elements, load_script, nonzero_elements, sum_pieces
 
 A = Variant.A_INT_BASE
@@ -589,6 +591,66 @@ class TestMemos:
             assert len(other_elems) == len(elems)
             assert all(u is v for u, v in zip(elems, other_elems))
             assert other_powers == powers
+
+
+def _dropped_value():
+    """Build ``t[9001,-9001] + 9003`` and hold none of it: the texts of
+    the element and its letter, to look it up by."""
+    x = add(make_stable(make_int(9001, A), make_int(-9001, A)), make_int(9003, A))
+    return repr(x), repr(x.items[0][1])
+
+
+def _interned(seq_text, letter_text):
+    """Which of the value ``_dropped_value`` built are still interned."""
+    return ([n for n in (9001, -9001, 9003) if (n, A) in word_core._INT_CACHE]
+            + [s for s in word_core._SEQ_CACHE.values() if repr(s) == seq_text]
+            + [lt for lt in word_core._LETTER_CACHE.values() if repr(lt) == letter_text])
+
+
+class TestSweep:
+    """``drop_memos`` frees the values interned since the last drop that
+    nothing but their intern table holds; whatever something holds
+    stays, and building its value again returns it."""
+
+    def test_a_dropped_value_leaves_its_tables(self):
+        texts = _dropped_value()
+        assert len(_interned(*texts)) == 5
+        nearring_maps.drop_memos()
+        # the element, its letter and the integers only they held go in
+        # one sweep
+        assert _interned(*texts) == []
+
+    def test_held_values_survive_a_suite(self):
+        x = parse_element("t[9011,9013] + -t[9013,9011] + 9017", A)
+        one, two = make_int(9019, A), make_int(9023, A)
+        letter = word_core._letter(one, two)
+        del one, two
+        cfg = SampleConfig(seed=9029, count=8, max_level=3)
+        held_by_memo = [render(sample_element(cfg, 3, v)) for v in Variant]
+        check_nearring_axioms(A, SampleConfig(seed=9031, count=6))
+        assert parse_element(render(x), A) is x
+        t = make_stable(make_int(9019, A), make_int(9023, A))
+        assert t.items[0] is letter._pos and letter._pos[1] is letter
+        assert neg(t).items[0] is letter._neg and letter._neg[1] is letter
+        for v, text in zip(Variant, held_by_memo):
+            y = sample_element(cfg, 3, v)
+            assert isinstance(y, Seq) and render(y) == text
+            assert parse_element(text, v) is y
+
+    def test_no_sweep_while_another_thread_runs(self):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            texts = _dropped_value()
+            nearring_maps.drop_memos()
+            assert len(_interned(*texts)) == 5
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        nearring_maps.drop_memos()
+        assert _interned(*texts) == []
 
 
 def _samples(variant, seed, count, max_level):
