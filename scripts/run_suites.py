@@ -2,16 +2,17 @@
 """Run every verification suite across the variants it applies to and
 print a summary table; optionally write the JSON reports to a directory.
 Each suite's wall time and rate (cases/s) go to stderr, followed after
-the run by the peak size, hits and misses of every library memo (each
+the run by the peak size, hits and misses of the two engine memos (each
 suite starts from empty engine memos, so their counts are read after
 every suite and summed, and their peak is the largest one suite
-reached), the size of every intern table at the end and its peak (each
-suite start frees the values nothing holds, so the peak is the largest
-size any suite ended with), the number of cyclic-collector runs per
-generation and the peak resident set size of the process, so stdout
-and the reports stay identical from run to run.  A suite that meets an
-engine error (an element too large to materialize) ends the run with
-one ``error:`` line and exit status 2.
+reached) and the size, hits and misses of the two sampler memos, the
+size of each intern table at the end and its peak (each suite start
+frees the values nothing holds, so the peak is the largest size any
+suite ended with), the number of cyclic-collector runs per generation
+and the peak resident set size of the process, so stdout and the
+reports stay identical from run to run.  A suite that meets an engine
+error (an element too large to materialize) ends the run with one
+``error:`` line and exit status 2.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -26,9 +27,13 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hnn_nearring import (  # noqa: E402
-    SEED_LIMIT, SUITES, EngineError, SampleConfig, Variant, write_report)
+    SEED_LIMIT, SUITES, EngineError, SampleConfig, Variant, sample_element,
+    sample_nonzero, word_core, write_report)
 from hnn_nearring.cli_io import GC_THRESHOLD, int_at_least  # noqa: E402
 from hnn_nearring.nearring_maps import memo_stats  # noqa: E402
+
+#: the intern tables of ``word_core``
+TABLES = ("_INT_CACHE", "_LETTER_CACHE", "_SEQ_CACHE", "_WORD_CACHE")
 
 
 def main() -> int:
@@ -47,8 +52,8 @@ def main() -> int:
             return _cannot_write(args.json_dir, exc)
 
     all_passed = True
-    engine = {}  # engine memo -> (peak, hits, misses) over the suites run
-    table_peaks = {}  # intern table -> largest size a suite ended with
+    memos = {}  # memo -> (peak, hits, misses), the engine's summed over the suites
+    table_peaks = dict.fromkeys(TABLES, 0)  # largest size a suite ended with
     for tags, runner in SUITES.values():
         for tag in tags:
             variant = Variant(tag)
@@ -60,10 +65,10 @@ def main() -> int:
                 return 2
             elapsed = time.perf_counter() - start
             for name, (size, hits, misses) in memo_stats().items():
-                peak, total_hits, total_misses = engine.get(name, (0, 0, 0))
-                engine[name] = max(peak, size), total_hits + hits, total_misses + misses
-            for name, size in _table_stats(engine):
-                table_peaks[name] = max(table_peaks.get(name, 0), size)
+                peak, total_hits, total_misses = memos.get(name, (0, 0, 0))
+                memos[name] = max(peak, size), total_hits + hits, total_misses + misses
+            for name, peak in table_peaks.items():
+                table_peaks[name] = max(peak, len(getattr(word_core, name)))
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"
             print(f"{status}  {report.suite_name:28s} variant={tag} "
@@ -78,11 +83,14 @@ def main() -> int:
                     path.write_bytes(write_report(report))
                 except OSError as exc:
                     return _cannot_write(path, exc)
-    memos = _memo_stats(engine)
-    for name, (peak, hits, misses) in memos:
+    for sampler in (sample_element, sample_nonzero):
+        info = sampler.cache_info()
+        memos[f"verify_suites.{sampler.__name__}"] = info.currsize, info.hits, info.misses
+    for name, (peak, hits, misses) in sorted(memos.items()):
         print(f"memo {name} peak={peak} hits={hits} misses={misses}", file=sys.stderr)
-    for name, size in _table_stats(dict(memos)):
-        print(f"table {name} size={size} peak={table_peaks[name]}", file=sys.stderr)
+    for name, peak in table_peaks.items():
+        print(f"table word_core.{name} size={len(getattr(word_core, name))} peak={peak}",
+              file=sys.stderr)
     print("gc collections=" + "/".join(str(g["collections"]) for g in gc.get_stats()),
           file=sys.stderr)
     # ru_maxrss is in KiB on Linux
@@ -94,37 +102,6 @@ def main() -> int:
 def _cannot_write(path, exc) -> int:
     print(f"error: cannot write report {path}: {exc.strerror}", file=sys.stderr)
     return 2
-
-
-def _library_modules():
-    """``(full name, short name, module)`` of every loaded library module."""
-    return [(name, name.rpartition(".")[2], module)
-            for name, module in list(sys.modules.items())
-            if name.startswith("hnn_nearring.")]
-
-
-def _memo_stats(engine):
-    """``(name, (peak, hits, misses))`` of every memo: the engine's from
-    ``engine``, and every other memoized library function, found by its
-    ``cache_info`` attribute and never dropped, from its current size."""
-    found = dict(engine)
-    for mod_name, short, module in _library_modules():
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_info") and fn.__module__ == mod_name:
-                info = fn.cache_info()
-                found.setdefault(f"{short}.{fn.__qualname__}",
-                                 (info.currsize, info.hits, info.misses))
-    return sorted(found.items())
-
-
-def _table_stats(memos):
-    """``(module.name, entries)`` of every module-level ``*_CACHE`` dict
-    of the library that is not one of ``memos``: the intern tables."""
-    return sorted((f"{short}.{name}", len(table))
-                  for _, short, module in _library_modules()
-                  for name, table in vars(module).items()
-                  if name.endswith("_CACHE") and isinstance(table, dict)
-                  and f"{short}.{name}" not in memos)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ def write_report(report: Report) -> bytes:
         "variant": report.variant.value,
         "seed": report.config.seed,
         "count": report.config.count,
+        "max_level": report.config.max_level,
         "cases_run": report.cases_run,
         "passed": report.passed,
         "failures": report.failures,

@@ -39,7 +39,6 @@ from .word_core import (
     _signed,
     _sweep,
     _word_from,
-    cyclic_reduce,
     make_int,
     make_omega,
     make_pi,
@@ -364,16 +363,12 @@ def in_h(zeta: Element, x: Element) -> bool:
 # Memo lifetime
 # ---------------------------------------------------------------------------
 
-#: the word engine's functools memos, held from import on, so a wrapper
-#: later bound to their names (a tracer, say) leaves them reachable
-_FUNCTION_MEMOS = (_coset_split, cyclic_reduce)
-
-
 def drop_memos() -> None:
-    """Empty the engine's memo tables and their lookup counts, then free
-    the interned values nothing holds any more; every public suite calls
-    this first, so the memos live from the start of one suite to the
-    start of the next, and so does a value only they held.
+    """Empty the engine's two memos (``_F_CACHE`` and ``_coset_split``)
+    and their lookup counts, then free the interned values nothing holds
+    any more; every public suite calls this first, so the memos live
+    from the start of one suite to the start of the next, and so does a
+    value only they held.
 
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
@@ -384,21 +379,19 @@ def drop_memos() -> None:
     deletion; the next call with one thread frees what was left.
     ``_F_CACHE`` is cleared in place: a fold in flight on another thread
     holds its own zeta's inner dict, not ``_F_CACHE``, and finishes on
-    it."""
+    it.  ``_coset_split`` is a private name no tracer rebinds, so the
+    memo is cleared through it."""
     _F_CACHE.clear()
     _F_LOOKUPS[:] = 0, 0
-    for fn in _FUNCTION_MEMOS:
-        fn.cache_clear()
+    _coset_split.cache_clear()
     if threading.active_count() == 1:
         _sweep()
 
 
 def memo_stats() -> dict:
-    """memo -> (size, hits, misses) of every engine memo as it stands,
-    counted since the last ``drop_memos``; the size of ``_F_CACHE`` counts
-    its entries over all zetas."""
-    stats = {"nearring_maps._F_CACHE": (sum(map(len, _F_CACHE.values())), *_F_LOOKUPS)}
-    for fn in _FUNCTION_MEMOS:
-        info = fn.cache_info()
-        stats[f"word_core.{fn.__name__}"] = (info.currsize, info.hits, info.misses)
-    return stats
+    """memo -> (size, hits, misses) of the two engine memos as they
+    stand, counted since the last ``drop_memos``; the size of
+    ``_F_CACHE`` counts its entries over all zetas."""
+    info = _coset_split.cache_info()
+    return {"nearring_maps._F_CACHE": (sum(map(len, _F_CACHE.values())), *_F_LOOKUPS),
+            "word_core._coset_split": (info.currsize, info.hits, info.misses)}

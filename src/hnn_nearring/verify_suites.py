@@ -109,15 +109,16 @@ def sample_element(config: SampleConfig, position: int, variant: Variant) -> Ele
 def sample_nonzero(config: SampleConfig, position: int, variant: Variant,
                    max_level: Optional[int] = None) -> Element:
     """Nonzero element drawn like ``sample_element`` (redrawing zeros),
-    with target levels cycling up to ``max_level`` when given; memoized
-    alike."""
+    with target levels cycling up to ``max_level`` when given, redraws
+    included; memoized alike."""
     rng = _rng_for(config, position)
-    target = position % ((max_level if max_level is not None else config.max_level) + 1)
+    cap = max_level if max_level is not None else config.max_level
+    target = position % (cap + 1)
     for _ in range(24):
         e = _gen(rng, variant, target, _MAX_SYLLABLES)
         if e is not ZERO:
             return e
-        target = rng.randint(0, config.max_level)
+        target = rng.randint(0, cap)
     return nr.identity_element(variant)
 
 

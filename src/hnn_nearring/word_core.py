@@ -829,11 +829,12 @@ def renormalize(a: Element) -> Element:
 # Cyclic reduction
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def cyclic_reduce(a: Element):
     """Split ``a = -c + core + c`` with ``core`` cyclically reduced,
     meaning ``core + core`` carries exactly twice the top-level letters
-    of ``core`` (no cancellation or pinch across the junction)."""
+    of ``core`` (no cancellation or pinch across the junction).  Not
+    memoized: ``scale`` and the misses of ``_coset_split`` call it, and a
+    memo here saved no time (README, "Tables")."""
     if a is ZERO:
         raise ZeroInput("cannot cyclically reduce zero")
     d = ZERO

@@ -68,8 +68,7 @@ def test_run_suites_times_on_stderr_only():
         "memo nearring_maps._F_CACHE peak=44 hits=33 misses=121",
         "memo verify_suites.sample_element peak=27 hits=21 misses=27",
         "memo verify_suites.sample_nonzero peak=21 hits=12 misses=21",
-        "memo word_core._coset_split peak=29 hits=43 misses=75",
-        "memo word_core.cyclic_reduce peak=12 hits=61 misses=56"]
+        "memo word_core._coset_split peak=29 hits=43 misses=75"]
     # then one line per intern table: its size after the run, and the
     # largest size a suite ended with, as each suite start frees the
     # values nothing holds

@@ -222,8 +222,8 @@ class TestCli:
         payload = json.loads(path.read_text())
         assert payload["passed"] is True
         assert payload["suite"] == "nonequiprime_C"
-        assert list(payload) == ["suite", "variant", "seed", "count", "cases_run",
-                                 "passed", "failures", "witnesses"]
+        assert list(payload) == ["suite", "variant", "seed", "count", "max_level",
+                                 "cases_run", "passed", "failures", "witnesses"]
 
     @pytest.mark.parametrize("path", ["missing/report.json", ".", ""],
                              ids=["missing-directory", "directory", "empty"])
@@ -467,6 +467,16 @@ class TestReports:
         r1 = witness_nonequiprime_C(cfg)
         r2 = witness_nonequiprime_C(cfg)
         assert write_report(r1) == write_report(r2)
+
+    def test_reports_carry_their_depth(self, tmp_path, capsys):
+        # once the reports at --depth 3 and 4 were byte for byte the same
+        paths = [tmp_path / f"depth{depth}.json" for depth in (3, 4)]
+        for depth, path in zip((3, 4), paths):
+            assert run_cli(["check", "--variant", "A", "--suite", "conjugacy", "--seed", "7",
+                            "--count", "5", "--depth", str(depth), "--json", str(path)]) == 0
+        payloads = [json.loads(path.read_text()) for path in paths]
+        assert [p["max_level"] for p in payloads] == [3, 4]
+        assert paths[0].read_bytes() != paths[1].read_bytes()
 
     def test_failure_shape(self):
         from hnn_nearring import Report

@@ -38,7 +38,7 @@ from hnn_nearring import (
     sample_w_element,
     scale,
 )
-from hnn_nearring import word_core
+from hnn_nearring import nearring_maps, word_core
 from conftest import elements, nonzero_elements
 
 A = Variant.A_INT_BASE
@@ -534,3 +534,14 @@ class TestKnownFaults:
         identity = identity_element(variant)
         assert u is not identity and scale(2, u) is scale(2, identity)
         assert f_eval(z, u) is not f_eval(z, identity)
+
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND (ROADMAP item 6): the sweep never "
+                       "revisits a value that survived it, so a sample the samplers dropped "
+                       "stays interned")
+    def test_a_sample_the_samplers_dropped_leaves_its_table(self):
+        text = repr(sample_element(SampleConfig(seed=424242, count=1, max_level=3), 3, A))
+        nearring_maps.drop_memos()  # the sampler memo holds the sample here
+        sample_element.cache_clear()
+        sample_nonzero.cache_clear()
+        nearring_maps.drop_memos()
+        assert [s for s in word_core._SEQ_CACHE.values() if repr(s) == text] == []

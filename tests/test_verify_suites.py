@@ -1,6 +1,7 @@
 """Sampler determinism, coverage and memos; every suite passes at small
 scale and starts from empty engine memos."""
 
+import importlib
 import pathlib
 import sys
 import threading
@@ -31,6 +32,7 @@ from hnn_nearring import (
     preimage_detail,
     render,
     renormalize,
+    run_cli,
     sample_element,
     sample_nonzero,
     sample_w_element,
@@ -78,6 +80,14 @@ class TestSampler:
         cfg = SampleConfig(seed=13, count=0)
         for variant in (A, B, C):
             assert all(sample_nonzero(cfg, k, variant).level >= 0 for k in range(30))
+
+    def test_nonzero_redraws_keep_the_level_cap(self):
+        # position 65 at seed 1 draws zero first under A; its redraw once
+        # took the config's max_level 4 for its cap, not the caller's 1
+        cfg = SampleConfig(seed=1, count=60, max_level=4)
+        for variant in (A, B, C):
+            assert all(level(sample_nonzero(cfg, k, variant, max_level=1)) <= 1
+                       for k in range(61, 130))
 
     def test_w_sampler_members(self):
         cfg = SampleConfig(seed=21, count=0)
@@ -301,12 +311,20 @@ SUITE_CALLS = [
 ]
 
 INTERN_TABLES = ("_INT_CACHE", "_WORD_CACHE", "_LETTER_CACHE", "_SEQ_CACHE")
-ENGINE_FUNCTION_MEMOS = (word_core._coset_split, word_core.cyclic_reduce)
+ENGINE_FUNCTION_MEMOS = (word_core._coset_split,)
+#: the benchmark, whose tracer rebinds the library's public names
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def _engine_memo_sizes():
     return ([len(nearring_maps._F_CACHE)]
             + [fn.cache_info().currsize for fn in ENGINE_FUNCTION_MEMOS])
+
+
+def _tracing(monkeypatch):
+    """The benchmark's ``tracing`` module, imported from ``bench/``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracing")
 
 
 def _image_cases(seed, max_level=3, per_variant=10):
@@ -316,7 +334,7 @@ def _image_cases(seed, max_level=3, per_variant=10):
 
 
 class TestMemoDrop:
-    """Every public suite empties the engine's three memos when it starts;
+    """Every public suite empties the engine's two memos when it starts;
     the samplers' memos stay, and so does every interned value a caller
     or a sampler holds, so the elements a caller kept are the ones a
     recomputation returns."""
@@ -388,7 +406,7 @@ class TestMemoDrop:
         reduced = [cyclic_reduce(x) for x in nonzero]
         offsets = [mu(z) for z, _ in cases if z.variant is B]
         nearring_maps.drop_memos()
-        assert _engine_memo_sizes() == [0] * 3
+        assert _engine_memo_sizes() == [0] * 2
         assert all(f_eval(z, x) is y for (z, x), y in zip(cases, images))
         assert all(preimage(z, y) is x for (z, _), y, x in zip(cases, images, back))
         assert all(u is v for x, pair in zip(nonzero, reduced)
@@ -415,14 +433,20 @@ class TestMemoDrop:
         assert len(drops) > len(cases)
 
     def test_drop_reaches_memos_behind_rebound_names(self, monkeypatch):
-        # a tracer rebinds the engine's public names to plain wrappers
-        reduce = word_core.cyclic_reduce
+        # the benchmark's tracer rebinds the public names of the engine to
+        # plain wrappers in every namespace that binds them
+        wrapped = _tracing(monkeypatch).WRAPPED
+        names = {*wrapped["word_core"], *wrapped["nearring_maps"]}
         for module in (word_core, nearring_maps):
-            monkeypatch.setattr(module, "cyclic_reduce", lambda a: reduce(a))
-        cyclic_reduce(make_pi([(1, 1), (2, 1), (1, -1)]))
-        assert reduce.cache_info().currsize > 0
+            for name in names & vars(module).keys():
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, fn=fn: fn(*args))
         nearring_maps.drop_memos()
-        assert _engine_memo_sizes() == [0] * 3
+        for zeta, x in _image_cases(137):
+            nearring_maps.mul(x, zeta)
+        assert 0 not in _engine_memo_sizes()
+        nearring_maps.drop_memos()
+        assert _engine_memo_sizes() == [0] * 2
 
     def test_threads_fold_through_drops(self):
         # folds on three threads while a fourth drops the memos; each
@@ -457,3 +481,30 @@ class TestMemoDrop:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in folders + [dropper])
         assert all(r is not None and all(u is v for u, v in zip(r, clean)) for r in results)
+
+
+class TestTracedRun:
+    """The benchmark's traced run (``bench/run.py --trace 1``) wraps the
+    library's public functions in every namespace that binds them; the
+    suites and ``check`` give the same bytes through the wrappers."""
+
+    def _run(self, tmp_path):
+        reports = [write_report(runner(Variant(tag), SMALL))
+                   for tags, runner in SUITES.values() for tag in tags]
+        path = tmp_path / "check.json"
+        code = run_cli(["check", "--variant", "B", "--suite", "nonequiprime",
+                        "--seed", "7", "--count", "40", "--json", str(path)])
+        return reports, code, path.read_bytes()
+
+    def test_traced_reports_match_the_untraced_ones(self, monkeypatch, tmp_path, capsys):
+        plain = self._run(tmp_path)
+        tracer = _tracing(monkeypatch).Tracer()
+        tracer.install()
+        try:
+            traced = self._run(tmp_path)
+        finally:
+            tracer.uninstall()
+        assert traced == plain and plain[1] == 0
+        groups = {group for group, *_ in tracer.snapshot()["spans"]}
+        assert {"verify_suites.suite", "word_core.cyclic_reduce",
+                "nearring_maps.f_eval"} <= groups
