@@ -12,7 +12,9 @@ suite ended with), the number of cyclic-collector runs per generation
 and the peak resident set size of the process, so stdout and the
 reports stay identical from run to run.  A suite that meets an engine
 error (an element too large to materialize) ends the run with one
-``error:`` line and exit status 2.
+``error:`` line and exit status 2.  The suites come from ``SUITES``,
+the tables from ``word_core._INTERN_TABLES``, and ``--seed``, ``--count``
+and ``--depth`` from the declaration ``check`` uses.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -27,20 +29,15 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hnn_nearring import (  # noqa: E402
-    SEED_LIMIT, SUITES, EngineError, SampleConfig, Variant, sample_element,
-    sample_nonzero, word_core, write_report)
-from hnn_nearring.cli_io import GC_THRESHOLD, int_at_least  # noqa: E402
+    SUITES, EngineError, SampleConfig, Variant, sample_element, sample_nonzero, word_core,
+    write_report)
+from hnn_nearring.cli_io import GC_THRESHOLD, add_sample_options  # noqa: E402
 from hnn_nearring.nearring_maps import memo_stats  # noqa: E402
-
-#: the intern tables of ``word_core``
-TABLES = ("_INT_CACHE", "_LETTER_CACHE", "_SEQ_CACHE", "_WORD_CACHE")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int_at_least(0, SEED_LIMIT), default=7)
-    parser.add_argument("--count", type=int_at_least(1), default=200)
-    parser.add_argument("--depth", type=int_at_least(0), default=3)
+    add_sample_options(parser)
     parser.add_argument("--json-dir", type=pathlib.Path)
     args = parser.parse_args()
 
@@ -53,7 +50,8 @@ def main() -> int:
 
     all_passed = True
     memos = {}  # memo -> (peak, hits, misses), the engine's summed over the suites
-    table_peaks = dict.fromkeys(TABLES, 0)  # largest size a suite ended with
+    # table -> the largest size a suite ended with
+    table_peaks = dict.fromkeys(word_core._INTERN_TABLES, 0)
     for tags, runner in SUITES.values():
         for tag in tags:
             variant = Variant(tag)

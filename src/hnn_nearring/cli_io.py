@@ -21,8 +21,8 @@ from .grammar import parse_element, render
 from .word_core import EngineError, Variant
 from .verify_suites import Report, SampleConfig
 
-__all__ = ["GC_THRESHOLD", "build_parser", "int_at_least", "main", "run_cli",
-           "write_report"]
+__all__ = ["GC_THRESHOLD", "add_sample_options", "build_parser", "int_at_least", "main",
+           "run_cli", "write_report"]
 
 #: the cyclic collector's thresholds in the applications (``main`` and
 #: ``scripts/run_suites.py``): the interning and memo tables keep tens of
@@ -71,6 +71,16 @@ def int_at_least(low: int, below: Optional[int] = None):
     return parse
 
 
+def add_sample_options(parser: argparse.ArgumentParser) -> None:
+    """Declare ``--seed``, ``--count`` and ``--depth``, the ``SampleConfig``
+    of ``check`` and of ``scripts/run_suites.py``, with its defaults."""
+    default = SampleConfig._field_defaults
+    parser.add_argument("--seed", type=int_at_least(0, vs.SEED_LIMIT), default=default["seed"])
+    parser.add_argument("--count", type=int_at_least(1), default=default["count"])
+    parser.add_argument("--depth", type=int_at_least(0), default=default["max_level"],
+                        help="maximum sampled level")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hnn-nearring",
@@ -106,25 +116,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     add_variant(p)
     p.add_argument("--suite", required=True, choices=tuple(vs.SUITES))
-    p.add_argument("--seed", type=int_at_least(0, vs.SEED_LIMIT), default=7)
-    p.add_argument("--count", type=int_at_least(1), default=200)
-    p.add_argument("--depth", type=int_at_least(0), default=3,
-                   help="maximum sampled level")
+    add_sample_options(p)
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     return parser
 
 
-_VALUE_OPTIONS = {"--variant", "--zeta", "--subgroup", "--suite", "--seed",
-                  "--count", "--depth", "--json"}
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """option -> whether it takes a value, over the subcommands of
+    ``parser``."""
+    commands, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt: action.nargs != 0 for command in commands.choices.values()
+            for action in command._actions for opt in action.option_strings}
 
 
-def _normalize_argv(argv: Sequence[str]) -> list:
+def _normalize_argv(parser: argparse.ArgumentParser, argv: Sequence[str]) -> list:
     """Let expression positionals and option values start with '-' by
-    regrouping known options first, joining each to its value as
-    ``--opt=value``, and fencing the positionals behind '--'."""
+    regrouping the options of ``parser`` first, joining each that takes a
+    value to it as ``--opt=value``, and fencing the positionals behind
+    '--'."""
     argv = list(argv)
     if not argv or argv[0] in ("-h", "--help"):
         return argv
+    options = _options(parser)
     head, opts, positional = [argv[0]], [], []
     expect_value = False
     for tok in argv[1:]:
@@ -133,11 +146,9 @@ def _normalize_argv(argv: Sequence[str]) -> list:
             expect_value = False
         elif tok == "--":
             continue
-        elif tok in ("-h", "--help"):
+        elif (takes_value := options.get(tok.split("=", 1)[0])) is not None:
             opts.append(tok)
-        elif tok.startswith("--") and tok.split("=", 1)[0] in _VALUE_OPTIONS:
-            opts.append(tok)
-            expect_value = "=" not in tok
+            expect_value = takes_value and "=" not in tok
         else:
             positional.append(tok)
     return head + opts + (["--"] + positional if positional else [])
@@ -148,7 +159,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_normalize_argv(argv))
+        args = parser.parse_args(_normalize_argv(parser, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     variant = Variant(args.variant)
@@ -181,38 +192,38 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
                 raise EngineError("member --subgroup H needs --zeta under this variant")
             print("true" if nr.in_h(zeta, x) else "false")
             return 0
-        if args.command == "check":
-            tags, runner = vs.SUITES[args.suite]
-            if variant.value not in tags:
-                raise EngineError(f"suite {args.suite} runs under variant "
-                                  f"{' or '.join(tags)} only, not {variant.value}")
-            config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
-            out = contextlib.nullcontext()
-            # opened first, so a bad path costs no suite run; an empty path
-            # is a path, and fails like any other unwritable one
+        # "check", the one command left
+        tags, runner = vs.SUITES[args.suite]
+        if variant.value not in tags:
+            raise EngineError(f"suite {args.suite} runs under variant "
+                              f"{' or '.join(tags)} only, not {variant.value}")
+        config = SampleConfig(seed=args.seed, count=args.count, max_level=args.depth)
+        out = contextlib.nullcontext()
+        # opened first, so a bad path costs no suite run; an empty path
+        # is a path, and fails like any other unwritable one
+        if args.json_path is not None:
+            try:
+                out = open(args.json_path, "wb")
+            except OSError as exc:
+                raise _cannot_write(args.json_path, exc) from exc
+        with out:
+            report = runner(variant, config)
             if args.json_path is not None:
                 try:
-                    out = open(args.json_path, "wb")
+                    out.write(write_report(report))
+                    out.flush()
                 except OSError as exc:
                     raise _cannot_write(args.json_path, exc) from exc
-            with out:
-                report = runner(variant, config)
-                if args.json_path is not None:
-                    try:
-                        out.write(write_report(report))
-                        out.flush()
-                    except OSError as exc:
-                        raise _cannot_write(args.json_path, exc) from exc
-            status = "PASS" if report.passed else "FAIL"
-            print(f"{status} suite={report.suite_name} variant={variant.value} "
-                  f"seed={config.seed} cases_run={report.cases_run} "
-                  f"failures={len(report.failures)}")
-            for w in report.witnesses:
-                print(f"  witness: {w}")
-            for f in report.failures[:5]:
-                print(f"  failure: inputs={f['inputs']} expected={f['expected']} "
-                      f"got={f['got']}")
-            return 0 if report.passed else 1
+        status = "PASS" if report.passed else "FAIL"
+        print(f"{status} suite={report.suite_name} variant={variant.value} "
+              f"seed={config.seed} cases_run={report.cases_run} "
+              f"failures={len(report.failures)}")
+        for w in report.witnesses:
+            print(f"  witness: {w}")
+        for f in report.failures[:5]:
+            print(f"  failure: inputs={f['inputs']} expected={f['expected']} "
+                  f"got={f['got']}")
+        return 0 if report.passed else 1
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,8 +231,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         # the engine's add and coset walk still recurse per letter level
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
-    parser.error(f"unhandled command {args.command}")
-    return 2
 
 
 def _cannot_write(path: str, exc: OSError) -> EngineError:

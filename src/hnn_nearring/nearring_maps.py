@@ -14,7 +14,6 @@ embedding attached to an image, which is associativity.
 
 from __future__ import annotations
 
-import threading
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -373,19 +372,16 @@ def drop_memos() -> None:
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
     changes an answer.  The intern tables lose only values no reference
-    reaches (``word_core._sweep``), so identity stays equality.  The
-    sweep waits while another thread runs, as that thread could look a
-    value up between the sweep's count of its references and its
-    deletion; the next call with one thread frees what was left.
-    ``_F_CACHE`` is cleared in place: a fold in flight on another thread
-    holds its own zeta's inner dict, not ``_F_CACHE``, and finishes on
-    it.  ``_coset_split`` is a private name no tracer rebinds, so the
-    memo is cleared through it."""
+    reaches (``word_core._sweep``), so identity stays equality; the
+    sweep frees nothing while another thread runs.  ``_F_CACHE`` is
+    cleared in place: a fold in flight on another thread holds its own
+    zeta's inner dict, not ``_F_CACHE``, and finishes on it.
+    ``_coset_split`` is a private name no tracer rebinds, so the memo is
+    cleared through it."""
     _F_CACHE.clear()
     _F_LOOKUPS[:] = 0, 0
     _coset_split.cache_clear()
-    if threading.active_count() == 1:
-        _sweep()
+    _sweep()
 
 
 def memo_stats() -> dict:

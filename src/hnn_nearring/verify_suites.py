@@ -68,20 +68,23 @@ class SampleConfig(NamedTuple):
 
 
 class Report(SimpleNamespace):
-    """Outcome of one suite run; ``passed`` holds exactly when
-    ``failures`` is empty.  Reports compare equal attribute by attribute."""
+    """Outcome of one suite run.  ``record`` keeps the first failures,
+    so ``passed``, read off them, holds until the first.  Reports compare
+    equal attribute by attribute."""
 
     def __init__(self, suite_name: str, variant: Variant, config: SampleConfig,
                  cases_run: int):
         super().__init__(suite_name=suite_name, variant=variant, config=config,
-                         cases_run=cases_run, failures=[], witnesses=[],
-                         passed=True)
+                         cases_run=cases_run, failures=[], witnesses=[])
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def record(self, inputs, expected, got):
         if len(self.failures) < _MAX_RECORDED_FAILURES:
             self.failures.append(
                 {"inputs": list(inputs), "expected": expected, "got": got})
-        self.passed = False
 
 
 # ---------------------------------------------------------------------------
@@ -394,20 +397,16 @@ def find_left_distrib_counterexample(variant: Variant, config: SampleConfig) -> 
     return rep
 
 
-def _witness_nonequiprime(variant: Variant, config: SampleConfig) -> Report:
-    if variant is Variant.B_FREE_BASE:
-        return witness_nonequiprime_B(config)
-    return witness_nonequiprime_C(config)
-
-
 #: suite name -> (tags of the variants it runs under, runner taking the
-#: variant and the config), in the order the scripts run and report them.
-#: Runners look the suite function up when called, so a wrapped module
-#: attribute is what runs.
+#: variant and the config), in the order the scripts run and report them;
+#: the one suite registry, which ``check`` and ``scripts/run_suites.py``
+#: both read.  Runners look the suite function up when called, so a
+#: wrapped module attribute is what runs.
 SUITES = {
     "axioms": ("ABC", lambda v, c: check_nearring_axioms(v, c)),
     "conjugacy": ("ABC", lambda v, c: check_conjugacy(v, c)),
-    "nonequiprime": ("BC", lambda v, c: _witness_nonequiprime(v, c)),
+    "nonequiprime": ("BC", lambda v, c: (witness_nonequiprime_B(c) if v is Variant.B_FREE_BASE
+                                         else witness_nonequiprime_C(c))),
     "equiprime": ("A", lambda v, c: check_equiprime_instances_A(c)),
     "invariants": ("BC", lambda v, c: check_invariant_subgroups(v, c)),
     "leftdistrib": ("ABC", lambda v, c: find_left_distrib_counterexample(v, c)),

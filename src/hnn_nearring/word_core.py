@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 import functools
 import sys
+import threading
 from typing import Iterable, Optional, Tuple, Union
 
 __all__ = [
@@ -327,6 +328,8 @@ _INT_CACHE: dict = {}
 _WORD_CACHE: dict = {}
 _LETTER_CACHE: dict = {}
 _SEQ_CACHE: dict = {}
+#: the names of the four intern tables, for what reports their sizes
+_INTERN_TABLES = ("_INT_CACHE", "_LETTER_CACHE", "_SEQ_CACHE", "_WORD_CACHE")
 
 #: the values interned since the last ``_sweep``, oldest first (a value
 #: twice if two threads raced to intern it)
@@ -393,9 +396,12 @@ def _sweep() -> None:
     unheld, and its ``_pos``/``_neg`` cycle is broken so that reference
     counting frees it.  A value is deleted only when no reference to it
     exists anywhere, so the next build of that value makes the one
-    object of it, and identity stays equality.  Not safe while another
-    thread runs: it could look a value up between the count of its
-    references and its deletion."""
+    object of it, and identity stays equality.  Frees nothing while
+    another thread runs, as that thread could look a value up between
+    the count of its references and its deletion; the next sweep with
+    one thread frees what was left."""
+    if threading.active_count() > 1:
+        return
     young, unheld, refs = _YOUNG, _UNHELD, sys.getrefcount
     while young:
         # rebinding v releases the value before, and what only it held

@@ -154,3 +154,16 @@ def test_run_suites_seed_range(seed, accepted, monkeypatch, capsys):
     assert exc.value.code == 2
     assert "error: argument --seed: must be " in capsys.readouterr().err
     assert seeds == []
+
+
+def test_run_suites_defaults_are_the_sample_config_defaults(monkeypatch, capsys):
+    configs = []
+
+    def stub(variant, config):
+        configs.append(config)
+        return Report("stub", variant, config, 1)
+
+    monkeypatch.setattr(run_suites, "SUITES", {"stub": ("A", stub)})
+    monkeypatch.setattr(sys, "argv", ["run_suites.py"])
+    assert run_suites.main() == 0
+    assert configs == [SampleConfig()]

@@ -1,5 +1,6 @@
 """Expression grammar, canonical rendering, CLI behavior, JSON reports."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -32,6 +33,7 @@ from hnn_nearring import (
     witness_nonequiprime_C,
     write_report,
 )
+from hnn_nearring import cli_io
 from conftest import elements
 
 A = Variant.A_INT_BASE
@@ -288,6 +290,27 @@ class TestCli:
         assert capsys.readouterr().out == joined
         assert run_cli(["apply", "--variant", "A", "3", "--zeta", "-t[1,2]"]) == 0
         assert capsys.readouterr().out == joined
+
+    @pytest.mark.parametrize("option", sorted(
+        opt for opt, takes_value in cli_io._options(cli_io.build_parser()).items()
+        if takes_value))
+    def test_every_value_option_takes_a_value_starting_with_dash(self, option):
+        parser = cli_io.build_parser()
+        for argv in (["cmd", option, "-t[1,2]", "x"], ["cmd", "x", option, "-t[1,2]"],
+                     ["cmd", f"{option}=-t[1,2]", "x"]):
+            assert cli_io._normalize_argv(parser, argv) == [
+                "cmd", f"{option}=-t[1,2]", "--", "x"]
+
+    def test_an_added_option_needs_no_second_list(self):
+        parser = argparse.ArgumentParser()
+        parser.add_subparsers().add_parser("cmd").add_argument("--new")
+        assert cli_io._normalize_argv(parser, ["cmd", "--new", "-1", "x"]) == [
+            "cmd", "--new=-1", "--", "x"]
+
+    def test_check_defaults_are_the_sample_config_defaults(self):
+        args = cli_io.build_parser().parse_args(
+            ["check", "--variant", "A", "--suite", "axioms"])
+        assert (args.seed, args.count, args.depth) == SampleConfig()
 
     def test_python_dash_m(self):
         src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -228,6 +228,15 @@ class TestRecordTypes:
         assert r1 != r2 and r2.failures == [] and not r1.passed
         assert repr(r2).startswith("Report(suite_name='s', variant=<Variant.A")
 
+    def test_passed_stays_false_past_the_kept_failures(self):
+        rep = Report("s", A, SMALL, 26)
+        for case in range(26):
+            assert rep.passed is (case == 0)
+            rep.record((str(case),), "e", "g")
+        assert len(rep.failures) == 25 and rep.passed is False
+        with pytest.raises(AttributeError):
+            rep.passed = True
+
 
 class TestMemos:
     """The two samplers are ``functools.cache`` functions, and ``_invert``
@@ -310,7 +319,6 @@ SUITE_CALLS = [
     (find_left_distrib_counterexample, (A, SMALL)),
 ]
 
-INTERN_TABLES = ("_INT_CACHE", "_WORD_CACHE", "_LETTER_CACHE", "_SEQ_CACHE")
 ENGINE_FUNCTION_MEMOS = (word_core._coset_split,)
 #: the benchmark, whose tracer rebinds the library's public names
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -355,7 +363,7 @@ class TestMemoDrop:
     @pytest.mark.parametrize("suite, args", SUITE_CALLS,
                              ids=[suite.__name__ for suite, _ in SUITE_CALLS])
     def test_suite_drops_the_memos_and_keeps_the_intern_tables(self, suite, args):
-        tables = [getattr(word_core, name) for name in INTERN_TABLES]
+        tables = [getattr(word_core, name) for name in word_core._INTERN_TABLES]
         self._plant()
         kept = [dict(table) for table in tables]
         suite(*args)
@@ -363,7 +371,7 @@ class TestMemoDrop:
         # them with
         assert self._planted_is_gone()
         assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > 0
-        for name, table, old in zip(INTERN_TABLES, tables, kept):
+        for name, table, old in zip(word_core._INTERN_TABLES, tables, kept):
             assert getattr(word_core, name) is table
             assert all(table[key] is value for key, value in old.items())
         assert sample_element.cache_info().currsize > 0

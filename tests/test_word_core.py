@@ -652,6 +652,22 @@ class TestSweep:
         nearring_maps.drop_memos()
         assert _interned(*texts) == []
 
+    def test_a_direct_sweep_waits_for_a_second_thread(self):
+        # the guard is the sweep's own, not only its callers'
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            texts = _dropped_value()
+            word_core._sweep()
+            assert len(_interned(*texts)) == 5
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        word_core._sweep()
+        assert _interned(*texts) == []
+
 
 def _samples(variant, seed, count, max_level):
     config = SampleConfig(seed=seed, count=count, max_level=max_level)
