@@ -6,15 +6,15 @@ the run by the peak size, hits and misses of the two engine memos (each
 suite starts from empty engine memos, so their counts are read after
 every suite and summed, and their peak is the largest one suite
 reached) and the size, hits and misses of the two sampler memos, the
-size of each intern table at the end and its peak (each suite start
-frees the values nothing holds, so the peak is the largest size any
-suite ended with), the number of cyclic-collector runs per generation
-and the peak resident set size of the process, so stdout and the
-reports stay identical from run to run.  A suite that meets an engine
-error (an element too large to materialize) ends the run with one
-``error:`` line and exit status 2.  The suites come from ``SUITES``,
-the tables from ``word_core._INTERN_TABLES``, and ``--seed``, ``--count``
-and ``--depth`` from the declaration ``check`` uses.
+size of the intern table ``word_core._INTERNED`` at the end and its
+peak (each suite start frees the values nothing holds, so the peak is
+the largest size any suite ended with), the number of cyclic-collector
+runs per generation and the peak resident set size of the process, so
+stdout and the reports stay identical from run to run.  A suite that
+meets an engine error (an element too large to materialize) ends the
+run with one ``error:`` line and exit status 2.  The suites come from
+``SUITES``, and ``--seed``, ``--count`` and ``--depth`` from the
+declaration ``check`` uses.
 
     python scripts/run_suites.py --seed 7 --count 200 --json-dir reports/
 """
@@ -50,8 +50,7 @@ def main() -> int:
 
     all_passed = True
     memos = {}  # memo -> (peak, hits, misses), the engine's summed over the suites
-    # table -> the largest size a suite ended with
-    table_peaks = dict.fromkeys(word_core._INTERN_TABLES, 0)
+    table_peak = 0  # the largest size the intern table had when a suite ended
     for tags, runner in SUITES.values():
         for tag in tags:
             variant = Variant(tag)
@@ -65,8 +64,7 @@ def main() -> int:
             for name, (size, hits, misses) in memo_stats().items():
                 peak, total_hits, total_misses = memos.get(name, (0, 0, 0))
                 memos[name] = max(peak, size), total_hits + hits, total_misses + misses
-            for name, peak in table_peaks.items():
-                table_peaks[name] = max(peak, len(getattr(word_core, name)))
+            table_peak = max(table_peak, len(word_core._INTERNED))
             all_passed = all_passed and report.passed
             status = "PASS" if report.passed else "FAIL"
             print(f"{status}  {report.suite_name:28s} variant={tag} "
@@ -86,9 +84,8 @@ def main() -> int:
         memos[f"verify_suites.{sampler.__name__}"] = info.currsize, info.hits, info.misses
     for name, (peak, hits, misses) in sorted(memos.items()):
         print(f"memo {name} peak={peak} hits={hits} misses={misses}", file=sys.stderr)
-    for name, peak in table_peaks.items():
-        print(f"table word_core.{name} size={len(getattr(word_core, name))} peak={peak}",
-              file=sys.stderr)
+    print(f"table word_core._INTERNED size={len(word_core._INTERNED)} peak={table_peak}",
+          file=sys.stderr)
     print("gc collections=" + "/".join(str(g["collections"]) for g in gc.get_stats()),
           file=sys.stderr)
     # ru_maxrss is in KiB on Linux

@@ -364,14 +364,14 @@ def in_h(zeta: Element, x: Element) -> bool:
 
 def drop_memos() -> None:
     """Empty the engine's two memos (``_F_CACHE`` and ``_coset_split``)
-    and their lookup counts, then free the interned values nothing holds
-    any more; every public suite calls this first, so the memos live
-    from the start of one suite to the start of the next, and so does a
-    value only they held.
+    and their lookup counts, then free the values interned since the
+    last drop that nothing holds any more; every public suite calls this
+    first, so the memos live from the start of one suite to the start of
+    the next, and so does a value only they held.
 
     The memos only save recomputation, and interning hands a
     recomputation the very object a caller kept, so dropping them never
-    changes an answer.  The intern tables lose only values no reference
+    changes an answer.  The intern table loses only values no reference
     reaches (``word_core._sweep``), so identity stays equality; the
     sweep frees nothing while another thread runs.  ``_F_CACHE`` is
     cleared in place: a fold in flight on another thread holds its own

@@ -25,11 +25,11 @@ keys built from them hash and compare at C speed and memo tables keyed
 on operands cost O(1).  Hashes are then addresses, which differ between
 runs, so no output may depend on the iteration order of a set of them.
 Each value is stored once: a ``Seq`` is keyed on its own stream, and a
-signed letter is one of the two pairs its ``StableLetter`` owns.  A value
-is kept while anything outside its intern table holds it: ``_sweep``
-deletes the values interned since it last ran that nothing else holds,
-so a lookup pays nothing for the bound and no two live objects ever
-share a value.
+signed letter is one of the two pairs its ``StableLetter`` owns.  All
+values share one intern table, and a value is kept while anything
+outside it holds it: ``_sweep`` deletes the values interned since it
+last ran that nothing else holds, so a lookup pays nothing for the bound
+and no two live objects ever share a value.
 """
 
 from __future__ import annotations
@@ -315,114 +315,107 @@ class Seq(Element):
         return self._sz
 
 
-# interning tables: keys hold only ints and already-interned objects, so
+# the intern table: keys hold only ints and already-interned objects, so
 # identity is equality is the hash, and one canonical object per value
-# makes that hold for what the tables return; setdefault keeps racing
+# makes that hold for what the table returns; setdefault keeps racing
 # constructors harmless under threads, where functools.cache would let
 # the second of two racing misses overwrite the first and hand out two
-# objects for one value.  A Seq without a central part is keyed on its
-# own items (its letters fix level and variant); one with it, on (level,
-# items, omega), which no items tuple equals, as none holds an int.
-# Every miss also appends the stored value to _YOUNG, for _sweep
-_INT_CACHE: dict = {}
-_WORD_CACHE: dict = {}
-_LETTER_CACHE: dict = {}
-_SEQ_CACHE: dict = {}
-#: the names of the four intern tables, for what reports their sizes
-_INTERN_TABLES = ("_INT_CACHE", "_LETTER_CACHE", "_SEQ_CACHE", "_WORD_CACHE")
-
-#: the values interned since the last ``_sweep``, oldest first (a value
-#: twice if two threads raced to intern it)
-_YOUNG: list = []
+# objects for one value.  The four key shapes never collide: an integer
+# is keyed on (n, variant), the only key holding a Variant; a word on
+# its letters, only ints; a letter on (alpha, beta), two elements; a Seq
+# without a central part on its own items, which hold a signed-letter
+# pair (its letters fix level and variant), and one with it on (level,
+# items, omega), whose first entry is an int and whose second is a
+# tuple.  Insertion order is creation order, so a value comes after
+# every value it holds, which _sweep relies on
+_INTERNED: dict = {}
+#: how many of the table's first entries the last ``_sweep`` looked at;
+#: the entries after them were interned since
+_swept = 0
 
 
 def _intern_int(n, variant):
     key = (n, variant)
-    el = _INT_CACHE.get(key)
+    el = _INTERNED.get(key)
     if el is None:
-        el = _INT_CACHE.setdefault(key, IntChunk(n, variant))
-        _YOUNG.append(el)
+        el = _INTERNED.setdefault(key, IntChunk(n, variant))
     return el
 
 
 def _intern_word(letters):
-    el = _WORD_CACHE.get(letters)
+    el = _INTERNED.get(letters)
     if el is None:
-        el = _WORD_CACHE.setdefault(letters, WordChunk(letters))
-        _YOUNG.append(el)
+        el = _INTERNED.setdefault(letters, WordChunk(letters))
     return el
 
 
 def _intern_letter(alpha, beta):
     key = (alpha, beta)
-    lt = _LETTER_CACHE.get(key)
+    lt = _INTERNED.get(key)
     if lt is None:
-        lt = _LETTER_CACHE.setdefault(key, StableLetter(alpha, beta))
-        _YOUNG.append(lt)
+        lt = _INTERNED.setdefault(key, StableLetter(alpha, beta))
     return lt
 
 
 def _intern_seq(lvl, variant, items, omega):
     key = (lvl, items, omega) if omega else items
-    el = _SEQ_CACHE.get(key)
+    el = _INTERNED.get(key)
     if el is None:
-        el = _SEQ_CACHE.setdefault(key, Seq(lvl, variant, items, omega))
-        _YOUNG.append(el)
+        el = _INTERNED.setdefault(key, Seq(lvl, variant, items, omega))
     return el
 
 
 def _unheld_refcount() -> int:
-    """``sys.getrefcount`` of a value that one container holds besides
-    the local it is read through, read as ``_sweep`` reads it: CPython
-    versions count a local and a call argument differently, so the
-    figure is measured here rather than written down."""
-    young, refs = [object()], sys.getrefcount
-    table = {None: young[0]}
-    v = young.pop()
-    return refs(v)
+    """``sys.getrefcount`` of a value that one dict holds besides the
+    local it is read into by subscript, read as ``_sweep`` reads it:
+    CPython versions count a local and a call argument differently, so
+    the figure is measured here rather than written down."""
+    table = {None: object()}
+    v = table[None]
+    return sys.getrefcount(v)
 
 
 _UNHELD = _unheld_refcount()
 
 
 def _sweep() -> None:
-    """Delete from its intern table every value interned since the last
+    """Delete from the intern table every value interned since the last
     sweep that nothing but the table holds, newest first.
 
+    The sweep pops a snapshot of the keys added since the last sweep,
+    reads each value by subscript and deletes by the key in hand.
     Creation order is dependency order, so a value freed here releases
-    its parts before they come up, and the same pass frees the parts
-    that only it held; a value something held survives and is never
-    looked at again.  A ``StableLetter`` also needs its two signed pairs
-    unheld, and its ``_pos``/``_neg`` cycle is broken so that reference
-    counting frees it.  A value is deleted only when no reference to it
-    exists anywhere, so the next build of that value makes the one
-    object of it, and identity stays equality.  Frees nothing while
-    another thread runs, as that thread could look a value up between
-    the count of its references and its deletion; the next sweep with
-    one thread frees what was left."""
+    its parts (and its key, which may hold them) before they come up,
+    and the same pass frees the parts that only it held; a value
+    something held survives and is never looked at again.  A
+    ``StableLetter`` also needs its two signed pairs unheld, and its
+    ``_pos``/``_neg`` cycle is broken so that reference counting frees
+    it.  A value is deleted only when no reference to it exists
+    anywhere, so the next build of that value makes the one object of
+    it, and identity stays equality.  Frees nothing while another thread
+    runs, as that thread could look a value up between the count of its
+    references and its deletion; the next sweep with one thread frees
+    what was left."""
+    global _swept
     if threading.active_count() > 1:
         return
-    young, unheld, refs = _YOUNG, _UNHELD, sys.getrefcount
-    while young:
-        # rebinding v releases the value before, and what only it held
-        v = young.pop()
-        cls = type(v)
-        if cls is Seq:
-            if refs(v) == unheld:
-                del _SEQ_CACHE[(v.level, v.items, v.omega) if v.omega else v.items]
-        elif cls is StableLetter:
+    table, unheld, refs = _INTERNED, _UNHELD, sys.getrefcount
+    keys = list(table)[_swept:]
+    while keys:
+        # rebinding key and v releases the value before, and what only it held
+        key = keys.pop()
+        v = table[key]
+        if type(v) is StableLetter:
             pos, neg_ = v._pos, v._neg
             # each pair holds the letter once
             if refs(v) == unheld + 2 and refs(pos) == unheld and refs(neg_) == unheld:
-                del _LETTER_CACHE[v.alpha, v.beta]
+                del table[key]
                 v._pos = v._neg = None
             # kept past this value, the pairs would keep the letter alive
             del pos, neg_
         elif refs(v) == unheld:
-            if cls is IntChunk:
-                del _INT_CACHE[v.n, v.variant]
-            else:
-                del _WORD_CACHE[v.letters]
+            del table[key]
+    _swept = len(table)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ GOLDEN = ROOT / "tests" / "golden"
 CONFIG = SampleConfig(seed=7, count=200, max_level=3)
 
 
+demo_witnesses = load_script("demo_witnesses")
 run_suites = load_script("run_suites")
 write_normal_forms = load_script("write_normal_forms")
 
@@ -58,8 +59,8 @@ def test_run_suites_times_on_stderr_only():
          "--seed", "7", "--count", "3", "--depth", "1"],
         capture_output=True, text=True, env=env, timeout=120)
     lines = proc.stderr.splitlines()
-    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-6]
-    tables, collections, peak_rss = lines[-6:-2], lines[-2], lines[-1]
+    timings, memos = lines[:len(PAIRS)], lines[len(PAIRS):-3]
+    table, collections, peak_rss = lines[-3:]
     assert all(line.startswith("time ") and line.endswith(" cases/s") for line in timings)
     # then one line per memo, after the run: the engine's memos, emptied
     # as each suite starts, report the largest size one suite reached and
@@ -69,14 +70,10 @@ def test_run_suites_times_on_stderr_only():
         "memo verify_suites.sample_element peak=27 hits=21 misses=27",
         "memo verify_suites.sample_nonzero peak=21 hits=12 misses=21",
         "memo word_core._coset_split peak=29 hits=43 misses=75"]
-    # then one line per intern table: its size after the run, and the
-    # largest size a suite ended with, as each suite start frees the
-    # values nothing holds
-    assert tables == [
-        "table word_core._INT_CACHE size=25 peak=26",
-        "table word_core._LETTER_CACHE size=19 peak=25",
-        "table word_core._SEQ_CACHE size=22 peak=41",
-        "table word_core._WORD_CACHE size=23 peak=57"]
+    # then the intern table: its size after the run, and the largest
+    # size a suite ended with, as each suite start frees the values
+    # nothing holds
+    assert table == "table word_core._INTERNED size=89 peak=115"
     # then the collector runs per generation, and last the peak resident
     # set size of the process
     assert re.fullmatch(r"gc collections=\d+/\d+/\d+", collections)
@@ -167,3 +164,20 @@ def test_run_suites_defaults_are_the_sample_config_defaults(monkeypatch, capsys)
     monkeypatch.setattr(sys, "argv", ["run_suites.py"])
     assert run_suites.main() == 0
     assert configs == [SampleConfig()]
+
+
+def test_demo_witnesses_shows_both_witnesses(capsys):
+    demo_witnesses.main()
+    out = capsys.readouterr().out
+    _, witnesses = out.split("\nFree-base witness (variant B)")
+    b_part, witnesses = witnesses.split("\nCentral-generator witness (variant C)")
+    c_part, left = witnesses.split("\nLeft distributivity fails")
+
+    def verdicts(part):
+        return [line.rsplit("equal = ", 1)[1] for line in part.splitlines()
+                if "equal = " in line]
+
+    # every B and C witness line shows a*x*b = a*x*c; left
+    # distributivity fails
+    assert (verdicts(b_part), verdicts(c_part)) == (["True"] * 3, ["True"] * 2)
+    assert verdicts(left) == ["False"]

@@ -11,6 +11,8 @@ from hypothesis import example, given, settings
 
 from hnn_nearring import (
     ZERO,
+    DegeneratePair,
+    Element,
     SampleConfig,
     Variant,
     WrongVariant,
@@ -52,6 +54,12 @@ def _tower(levels, a, b):
     for _ in range(levels - 1):
         x = make_stable(x, b)
     return x
+
+
+def _word_codes():
+    """The number of basis codes the interned words hold together."""
+    return sum(len(w.letters) for w in word_core._INTERNED.values()
+               if type(w) is word_core.WordChunk)
 
 
 class TestTenThousandLevels:
@@ -114,10 +122,10 @@ class TestFEval:
             zeta, x = make_stable(make_pi([0]), make_pi([1])), add(make_pi([0]), x)
         else:
             zeta = make_pi([1])
-        before = sum(map(len, word_core._WORD_CACHE))
+        before = _word_codes()
         image = f_eval(zeta, x)
         assert level(image) == zeta_level
-        assert sum(map(len, word_core._WORD_CACHE)) - before < r * math.log2(r)
+        assert _word_codes() - before < r * math.log2(r)
 
     def test_letter_mapping(self):
         one = make_int(1, A)
@@ -491,9 +499,21 @@ class TestWitnessValues:
         assert mul(mul(a, x), b) is not mul(mul(a, x), c)
 
 
+def _colliding_halves(variant):
+    """``z = t[1,-2] + -1 + -t[1,-2]`` and ``u = t[2,-4] + -2 + -t[2,-4]``,
+    under B with ``pi(1)`` for ``1`` in ``z`` and ``pi(0)`` for ``1`` in
+    ``u``: 2*z is the base element the letter conjugates, and u is a
+    second half of twice the identity, so ``f_z(u) = z = f_z(identity)``."""
+    one, base = ("pi(0)", "pi(1)") if variant is B else ("1", "1")
+    z = parse_element("t[{0},-2*{0}] + -{0} + -t[{0},-2*{0}]".format(base), variant)
+    u = parse_element("t[2*{0},-4*{0}] + -2*{0} + -t[2*{0},-4*{0}]".format(one), variant)
+    return z, u
+
+
 class TestKnownFaults:
-    """Faults recorded as FOUND lines in CHANGES.md, pinned so that the
-    change that mends one sees its test pass (strict xfail) and flips it."""
+    """Faults recorded as FOUND lines in CHANGES.md or as ROADMAP items,
+    pinned so that the change that mends one sees its test pass (strict
+    xfail) and flips it; the inputs they rest on are checked plainly."""
 
     @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND: f_eval sends om(j) to "
                        "om(level(zeta) + j), so the product is not associative under C")
@@ -526,16 +546,10 @@ class TestKnownFaults:
                        "to one, so it is no embedding")
     @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
     def test_embedding_is_injective(self, variant):
-        # 2*z is the base element the letter conjugates, and u is a second
-        # half of twice the identity, so f_z(u) = t[1,-2] + -1 + -t[1,-2] = z
-        one, base = ("pi(0)", "pi(1)") if variant is B else ("1", "1")
-        z = parse_element("t[{0},-2*{0}] + -{0} + -t[{0},-2*{0}]".format(base), variant)
-        u = parse_element("t[2*{0},-4*{0}] + -2*{0} + -t[2*{0},-4*{0}]".format(one), variant)
-        identity = identity_element(variant)
-        assert u is not identity and scale(2, u) is scale(2, identity)
-        assert f_eval(z, u) is not f_eval(z, identity)
+        z, u = _colliding_halves(variant)
+        assert f_eval(z, u) is not f_eval(z, identity_element(variant))
 
-    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND (ROADMAP item 6): the sweep never "
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND (ROADMAP item 7): the sweep never "
                        "revisits a value that survived it, so a sample the samplers dropped "
                        "stays interned")
     def test_a_sample_the_samplers_dropped_leaves_its_table(self):
@@ -544,4 +558,29 @@ class TestKnownFaults:
         sample_element.cache_clear()
         sample_nonzero.cache_clear()
         nearring_maps.drop_memos()
-        assert [s for s in word_core._SEQ_CACHE.values() if repr(s) == text] == []
+        assert [s for s in word_core._INTERNED.values() if repr(s) == text] == []
+
+    @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
+    def test_the_colliding_inputs_are_valid(self, variant):
+        # the faults below are not bad input: u, the letter t[u,1] and
+        # u + -1 are nonzero elements, and z is a nonzero right factor
+        z, u = _colliding_halves(variant)
+        identity = identity_element(variant)
+        assert u is not identity and scale(2, u) is scale(2, identity)
+        assert z is not ZERO and add(u, neg(identity)) is not ZERO
+        assert isinstance(make_stable(u, identity), Element)
+
+    @pytest.mark.xfail(strict=True, raises=DegeneratePair, reason="ROADMAP item 2: f_z sends "
+                       "u and the identity to one element, so the image of t[u,1] would be "
+                       "a letter with equal subscripts")
+    @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
+    def test_product_is_total(self, variant):
+        z, u = _colliding_halves(variant)
+        assert isinstance(mul(make_stable(u, identity_element(variant)), z), Element)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: f_z sends u + -1 to 0, so two "
+                       "nonzero elements have the product 0")
+    @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
+    def test_no_zero_divisors(self, variant):
+        z, u = _colliding_halves(variant)
+        assert mul(add(u, neg(identity_element(variant))), z) is not ZERO

@@ -363,17 +363,16 @@ class TestMemoDrop:
     @pytest.mark.parametrize("suite, args", SUITE_CALLS,
                              ids=[suite.__name__ for suite, _ in SUITE_CALLS])
     def test_suite_drops_the_memos_and_keeps_the_intern_tables(self, suite, args):
-        tables = [getattr(word_core, name) for name in word_core._INTERN_TABLES]
+        table = word_core._INTERNED
         self._plant()
-        kept = [dict(table) for table in tables]
+        kept = dict(table)
         suite(*args)
         # the suite started from empty memos, and they hold what it filled
         # them with
         assert self._planted_is_gone()
         assert sum(m for _, _, m in nearring_maps.memo_stats().values()) > 0
-        for name, table, old in zip(word_core._INTERN_TABLES, tables, kept):
-            assert getattr(word_core, name) is table
-            assert all(table[key] is value for key, value in old.items())
+        assert word_core._INTERNED is table
+        assert all(table[key] is value for key, value in kept.items())
         assert sample_element.cache_info().currsize > 0
 
     def test_a_suite_after_a_raising_suite_starts_empty(self, monkeypatch):

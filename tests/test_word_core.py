@@ -416,6 +416,11 @@ def _reachable_seqs(x):
     return list(seen)
 
 
+def _seq_count():
+    """The number of interned ``Seq`` values."""
+    return sum(type(v) is Seq for v in word_core._INTERNED.values())
+
+
 class TestSharing:
     """Interning stores each value once: a stream holds the shared pair
     of each signed letter, and a ``Seq`` without a central part is keyed
@@ -439,15 +444,16 @@ class TestSharing:
         @settings(max_examples=20, deadline=None)
         def check(a):
             seqs = [s for s in _reachable_seqs(a) if s.omega == 0]
-            keys = {id(k): k for k in word_core._SEQ_CACHE}
+            keys = {id(k): k for k in word_core._INTERNED}
             for s in seqs:
                 assert s.n_letters > 0 and not hasattr(s, "letters")
                 assert keys[id(s.items)] is s.items
-                assert word_core._SEQ_CACHE[s.items] is s
+                assert word_core._INTERNED[s.items] is s
 
         check()
-        for key, s in word_core._SEQ_CACHE.items():
-            assert key is s.items if s.omega == 0 else key == (s.level, s.items, s.omega)
+        for key, s in word_core._INTERNED.items():
+            if type(s) is Seq:
+                assert key is s.items if s.omega == 0 else key == (s.level, s.items, s.omega)
 
     @given(nonzero_elements(C), st.sampled_from([1, -1, 2]))
     @settings(max_examples=40, deadline=None)
@@ -457,9 +463,9 @@ class TestSharing:
             both = add(s, om) if s.omega == 0 else s
             if s.omega == 0:
                 assert both is not s and both.items == s.items and both.omega == m
-                assert word_core._SEQ_CACHE[s.items] is s
-            assert word_core._SEQ_CACHE[(both.level, both.items, both.omega)] is both
-            assert om.items == () and word_core._SEQ_CACHE[(s.level, (), m)] is om
+                assert word_core._INTERNED[s.items] is s
+            assert word_core._INTERNED[(both.level, both.items, both.omega)] is both
+            assert om.items == () and word_core._INTERNED[(s.level, (), m)] is om
             assert om is not make_omega(s.level, m)
 
     def test_inverse_letters_are_shared_pairs(self):
@@ -468,9 +474,9 @@ class TestSharing:
         # t[202,206]; the subscripts keep other tests from interning it first
         x = f_eval(make_int(2, A), parse_element("t[101,103] + 5", A))
         f = f_eval(make_int(3, A), x)
-        before = len(word_core._SEQ_CACHE)
+        before = _seq_count()
         assert preimage(make_int(3, A), f) is x
-        assert len(word_core._SEQ_CACHE) == before
+        assert _seq_count() == before
 
 
 class TestIdentityHashing:
@@ -602,15 +608,14 @@ def _dropped_value():
 
 def _interned(seq_text, letter_text):
     """Which of the value ``_dropped_value`` built are still interned."""
-    return ([n for n in (9001, -9001, 9003) if (n, A) in word_core._INT_CACHE]
-            + [s for s in word_core._SEQ_CACHE.values() if repr(s) == seq_text]
-            + [lt for lt in word_core._LETTER_CACHE.values() if repr(lt) == letter_text])
+    return ([n for n in (9001, -9001, 9003) if (n, A) in word_core._INTERNED]
+            + [v for v in word_core._INTERNED.values() if repr(v) in (seq_text, letter_text)])
 
 
 class TestSweep:
     """``drop_memos`` frees the values interned since the last drop that
-    nothing but their intern table holds; whatever something holds
-    stays, and building its value again returns it."""
+    nothing but the intern table holds; whatever something holds stays,
+    and building its value again returns it."""
 
     def test_a_dropped_value_leaves_its_tables(self):
         texts = _dropped_value()
