@@ -42,6 +42,7 @@ from .word_core import (
 )
 from .nearring_maps import (
     PreimageResult,
+    UndefinedProduct,
     ZeroZeta,
     drop_memos,
     f_eval,

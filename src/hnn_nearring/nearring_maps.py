@@ -10,6 +10,12 @@ subscripts, and central generators shift level by the level of
 ``zeta``.  The product ``a * b`` is the image of ``a`` under the
 embedding attached to ``b``; composing two embeddings gives the
 embedding attached to an image, which is associativity.
+
+The product is partial under every variant as built: an embedding can
+send two distinct elements to one, so with ``z = t[1,-2] + -1 +
+-t[1,-2]`` and ``u = t[2,-4] + -2 + -t[2,-4]`` the letter ``t[u,1]``
+would map to ``t[z,z]``, which is no letter.  ``f_eval`` raises
+``UndefinedProduct`` there, and where a subscript maps to zero.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .word_core import (
     IntChunk,
     Seq,
     SignedLetter,
+    StableLetter,
     Variant,
     WordChunk,
     WrongVariant,
@@ -48,6 +55,7 @@ from .word_core import (
 
 __all__ = [
     "PreimageResult",
+    "UndefinedProduct",
     "ZeroZeta",
     "drop_memos",
     "f_eval",
@@ -64,6 +72,22 @@ __all__ = [
 
 class ZeroZeta(EngineError):
     """The embedding family is indexed by nonzero elements only."""
+
+
+class UndefinedProduct(EngineError):
+    """An embedding sends a letter's two subscripts to one element, or
+    one of them to zero, so the letter has no image (README, "What it
+    computes")."""
+
+    def __init__(self, letter: StableLetter, alpha_image: Element, beta_image: Element):
+        # the grammar sits above the engine, and the package has loaded it
+        # by the time a product can fail
+        from .grammar import render
+
+        super().__init__(
+            f"product undefined: the embedding sends the letter "
+            f"t[{render(letter.alpha)},{render(letter.beta)}] to "
+            f"t[{render(alpha_image)},{render(beta_image)}], which is no letter")
 
 
 def identity_element(variant: Variant) -> Element:
@@ -128,14 +152,25 @@ def f_eval(zeta: Element, x: Element) -> Element:
     def image_of_chunk(b: Element) -> Element:
         if isinstance(b, IntChunk):
             return scale(b.n, zeta)
-        mz = mu(zeta)
-        return sum_elements(scale(e, zeta) if idx == 0 else make_pi([(mz + idx, e)])
-                            for idx, e in _basis_runs(b))
+        # a run of pi(idx > 0) goes to the run of pi(mu(zeta) + idx)
+        mz = zeta._hi
+        return sum_elements(
+            scale(e, zeta) if idx == 0
+            else _word_from((mz + idx + 1 if e > 0 else -(mz + idx + 1),) * abs(e))
+            for idx, e in _basis_runs(b))
 
     def image_of_seq(s: Seq, images: dict) -> Element:
-        pieces = [images[it] if isinstance(it, Element)
-                  else _signed(it[0], _letter(images[it[1].alpha], images[it[1].beta]))
-                  for it in s.items]
+        pieces = []
+        try:
+            for it in s.items:
+                if isinstance(it, Element):
+                    pieces.append(images[it])
+                else:
+                    lt = it[1]
+                    image = _letter(images[lt.alpha], images[lt.beta])
+                    pieces.append(image._pos if it[0] > 0 else image._neg)
+        except DegeneratePair:
+            raise UndefinedProduct(lt, images[lt.alpha], images[lt.beta]) from None
         if s.omega:
             pieces.append(make_omega(zeta.level + s.level - 1, s.omega))
         return sum_elements(pieces)

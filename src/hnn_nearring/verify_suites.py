@@ -4,7 +4,11 @@ Each suite samples elements deterministically from a ``SampleConfig``,
 checks one family of desk-checkable claims (nearring axioms, universal
 conjugacy, the non-equiprime witnesses, equiprime instances, invariant
 subgroup closure, failure of left distributivity) and returns a
-machine-readable ``Report``.  Identical configs produce identical
+machine-readable ``Report``.  Each sampled position seeds its own
+``random.Random``, and its stream depends only on that seeding and on
+the generator's ``random()`` and ``getrandbits`` outputs: integers and
+signs are made from those bits by ``_draw``, not by the interpreter's
+``randint`` and ``choice``.  Identical configs produce identical
 reports; cases are evaluated in stream order.  Every suite first
 empties the engine's memos and frees the interned values nothing holds
 (``drop_memos``), so a run holds one suite's memos at a time and what
@@ -55,6 +59,8 @@ _MAX_SYLLABLES = 4
 _INT_RANGE = (-6, 6)
 _BASIS_INDEX_RANGE = (0, 5)
 _MAX_OMEGA_INDEX = 3
+#: the signs a sampled letter or basis power takes, drawn by index
+_SIGNS = (1, -1)
 
 
 class SampleConfig(NamedTuple):
@@ -95,6 +101,21 @@ def _rng_for(config: SampleConfig, position: int) -> random.Random:
     return random.Random((config.seed & (SEED_LIMIT - 1)) * 0x100000000 + position)
 
 
+def _draw(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``, drawn as CPython 3.10-3.13 draw it: the
+    offset below ``hi - lo + 1`` is ``getrandbits`` of that count's bit
+    length, redrawn until it fits.  ``rng.choice((1, -1))`` is
+    ``(1, -1)[_draw(rng, 0, 1)]``.  One call in place of the three
+    Python frames of ``randint``, so every sampled stream is what
+    ``random.Random`` would draw from the same seed."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 @functools.cache
 def sample_element(config: SampleConfig, position: int, variant: Variant) -> Element:
     """Canonical element of level at most ``max_level``, deterministic in
@@ -121,7 +142,7 @@ def sample_nonzero(config: SampleConfig, position: int, variant: Variant,
         e = _gen(rng, variant, target, _MAX_SYLLABLES)
         if e is not ZERO:
             return e
-        target = rng.randint(0, cap)
+        target = _draw(rng, 0, cap)
     return nr.identity_element(variant)
 
 
@@ -129,8 +150,8 @@ def _gen_base(rng, variant, small=False) -> Element:
     if variant is Variant.B_FREE_BASE:
         lo, hi = _BASIS_INDEX_RANGE
         for _ in range(8):
-            n = rng.randint(1, 2 if small else 3)
-            items = [(rng.randint(lo, hi), rng.choice((1, -1))) for _ in range(n)]
+            n = _draw(rng, 1, 2 if small else 3)
+            items = [(_draw(rng, lo, hi), _SIGNS[_draw(rng, 0, 1)]) for _ in range(n)]
             e = wc.make_pi(items)
             if e is not ZERO:
                 return e
@@ -138,7 +159,7 @@ def _gen_base(rng, variant, small=False) -> Element:
     lo, hi = _INT_RANGE
     if small:
         lo, hi = max(lo, -3), min(hi, 3)
-    n = rng.randint(lo, hi)
+    n = _draw(rng, lo, hi)
     if n == 0:
         n = 1
     return wc.make_int(n, variant)
@@ -165,18 +186,18 @@ def _gen(rng, variant, lvl, budget, sub=False) -> Element:
     if lvl <= 0:
         return _gen_base(rng, variant, small=sub)
     pieces = []
-    syllables = rng.randint(1, max(1, budget))
+    syllables = _draw(rng, 1, max(1, budget))
     sub_budget = max(1, budget - 2)
     for pos in range(syllables):
         roll = rng.random()
         if (variant is Variant.C_INT_OMEGA_BASE and roll < 0.18
                 and lvl - 1 <= _MAX_OMEGA_INDEX):
-            m = rng.randint(-2, 2)
+            m = _draw(rng, -2, 2)
             pieces.append(wc.make_omega(lvl - 1, m if m else 1))
         elif roll < 0.75 or pos == 0:
             pieces.append(_gen_letter(rng, variant, lvl, sub_budget))
         else:
-            pieces.append(_gen(rng, variant, rng.randint(0, lvl - 1), sub_budget, sub=sub))
+            pieces.append(_gen(rng, variant, _draw(rng, 0, lvl - 1), sub_budget, sub=sub))
     return wc.sum_elements(pieces)
 
 
@@ -188,13 +209,13 @@ def _gen_letter(rng, variant, lvl, sub_budget):
     beta = wc.neg(alpha)
     if rng.random() >= 0.8:
         for _ in range(3):
-            other = _gen(rng, variant, rng.randint(0, lvl - 1), sub_budget, sub=True)
+            other = _gen(rng, variant, _draw(rng, 0, lvl - 1), sub_budget, sub=True)
             if other is not ZERO and other is not alpha and wc.size(other) == wc.size(alpha):
                 beta = other
                 break
     if rng.random() < 0.5:
         alpha, beta = beta, alpha
-    return wc._signed(rng.choice((1, -1)), wc._letter(alpha, beta))
+    return wc._signed(_SIGNS[_draw(rng, 0, 1)], wc._letter(alpha, beta))
 
 
 def _distinct_from(alpha: Element, variant: Variant) -> Element:

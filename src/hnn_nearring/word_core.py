@@ -281,22 +281,36 @@ class Seq(Element):
         self.omega = omega
         n = 0
         sz = abs(omega)
-        kids = []
-        for it in items:
-            if isinstance(it, Element):
-                sz += it._size()
-                kids.append(it)
-            else:
-                n += 1
-                sz += it[1]._sz
-                kids += it[1].alpha, it[1].beta
+        lo = hi = None
+        if variant is Variant.B_FREE_BASE:
+            # items is never empty here: only variant C has a central part
+            for it in items:
+                if isinstance(it, Element):
+                    sz += it._size()
+                    kid_lo, kid_hi = it._lo, it._hi
+                else:
+                    n += 1
+                    lt = it[1]
+                    sz += lt._sz
+                    a, b = lt.alpha, lt.beta
+                    kid_lo = a._lo if a._lo < b._lo else b._lo
+                    kid_hi = a._hi if a._hi > b._hi else b._hi
+                if lo is None or kid_lo < lo:
+                    lo = kid_lo
+                if hi is None or kid_hi > hi:
+                    hi = kid_hi
+        else:
+            for it in items:
+                if isinstance(it, Element):
+                    sz += it._size()
+                else:
+                    n += 1
+                    sz += it[1]._sz
         self.n_letters = n
         self._sz = sz
         self._rp = None
-        self._lo = self._hi = None
-        if variant is Variant.B_FREE_BASE:
-            self._lo = min(kid._lo for kid in kids)
-            self._hi = max(kid._hi for kid in kids)
+        self._lo = lo
+        self._hi = hi
 
     def __repr__(self):
         if self._rp is None:
@@ -347,14 +361,6 @@ def _intern_word(letters):
     if el is None:
         el = _INTERNED.setdefault(letters, WordChunk(letters))
     return el
-
-
-def _intern_letter(alpha, beta):
-    key = (alpha, beta)
-    lt = _INTERNED.get(key)
-    if lt is None:
-        lt = _INTERNED.setdefault(key, StableLetter(alpha, beta))
-    return lt
 
 
 def _intern_seq(lvl, variant, items, omega):
@@ -471,12 +477,18 @@ def make_stable(alpha: Element, beta: Element, sign: int = 1) -> Element:
 
 
 def _letter(alpha: Element, beta: Element) -> StableLetter:
-    if alpha is ZERO or beta is ZERO:
-        raise DegeneratePair("letter subscripts must be nonzero")
-    if alpha is beta:
-        raise DegeneratePair("letter subscripts must be distinct")
-    _join_variants(alpha.variant, beta.variant)
-    return _intern_letter(alpha, beta)
+    """The interned letter ``t[alpha,beta]``.  A degenerate or mixed pair
+    is never interned, so only a miss checks the subscripts."""
+    key = (alpha, beta)
+    lt = _INTERNED.get(key)
+    if lt is None:
+        if alpha is ZERO or beta is ZERO:
+            raise DegeneratePair("letter subscripts must be nonzero")
+        if alpha is beta:
+            raise DegeneratePair("letter subscripts must be distinct")
+        _join_variants(alpha.variant, beta.variant)
+        lt = _INTERNED.setdefault(key, StableLetter(alpha, beta))
+    return lt
 
 
 # ---------------------------------------------------------------------------
@@ -651,21 +663,24 @@ def _assemble(lvl: int, items, omega: int, variant: Variant) -> Element:
     for it in items:
         if isinstance(it, Element):
             if it is not ZERO:
-                acc = add(acc, it)
+                acc = it if acc is ZERO else add(acc, it)
             continue
         sign, lt = it
-        gen_in = lt.alpha if sign > 0 else lt.beta
-        gen_out = lt.beta if sign > 0 else lt.alpha
-        r, j = _coset_split(acc, gen_in) if acc is not ZERO else (ZERO, 0)
+        if acc is ZERO:
+            r, j = ZERO, 0
+        else:
+            r, j = _coset_split(acc, lt.alpha if sign > 0 else lt.beta)
+        # j*gen_in pushed through the letter is j*gen_out
+        pushed = scale(j, lt.beta if sign > 0 else lt.alpha) if j else ZERO
         if r is ZERO and out and out[-1][1] is lt and out[-1][0] == -sign:
             out.pop()
             c = out.pop() if out and isinstance(out[-1], Element) else ZERO
-            acc = add(c, scale(j, gen_out))
+            acc = add(c, pushed)
         else:
             if r is not ZERO:
                 out.append(r)
             out.append(it)
-            acc = scale(j, gen_out)
+            acc = pushed
     if not out and omega == 0:
         return acc
     if acc is not ZERO:
@@ -704,23 +719,32 @@ def sum_elements(pieces) -> Element:
     summed pairwise with ``add``: ``n`` of them copy about ``n log n``
     syllables into partial sums, where a left fold would copy and intern
     every prefix, about ``n**2 / 2``.  All pieces' variants are joined
-    first: a mixed sum raises ``VariantMismatch`` even where it cancels."""
-    pieces = [p for p in pieces if p is not ZERO]
+    first: a mixed sum raises ``VariantMismatch`` even where it cancels.
+    A lone piece is its own sum: an element itself, a signed letter the
+    one-letter stream of its shared pair."""
+    kept = []
     lvl = -1
     v = None
     for p in pieces:
+        if p is ZERO:
+            continue
         q = p if isinstance(p, Element) else p[1]
-        v = _join_variants(v, q.variant)
+        if q.variant is not v:
+            v = _join_variants(v, q.variant)
         if q.level > lvl:
             lvl = q.level
+        kept.append(p)
+    if len(kept) == 1:
+        p = kept[0]
+        if isinstance(p, Element):
+            return p
+        return _intern_seq(lvl, v, (_signed(p[0], p[1]),), 0)
     if lvl <= 0:
-        return _sum_pairwise(pieces)
-    if len(pieces) == 1 and isinstance(pieces[0], Element):
-        return pieces[0]
+        return _sum_pairwise(kept)
     items = []
     omega = 0
     run = []
-    for p in pieces:
+    for p in kept:
         if isinstance(p, Element):
             if p.level < lvl:
                 run.append(p)
@@ -760,6 +784,10 @@ def neg(a: Element) -> Element:
         return _intern_int(-a.n, a.variant)
     if isinstance(a, WordChunk):
         return _word_neg(a)
+    if a.omega == 0 and len(a.items) == 1:
+        # one item and no central part: a lone letter, which inverts alone
+        sign, lt = a.items[0]
+        return _intern_seq(a.level, a.variant, (lt._neg if sign > 0 else lt._pos,), 0)
     return _assemble(a.level, _neg_items(a), -a.omega, a.variant)
 
 

@@ -16,6 +16,7 @@ from hnn_nearring import (
     make_pi,
     make_stable,
     neg,
+    parse_element,
 )
 
 
@@ -90,6 +91,17 @@ def _unit(variant):
     if variant is Variant.B_FREE_BASE:
         return make_pi([0])
     return make_int(1, variant)
+
+
+def colliding_halves(variant):
+    """``z = t[1,-2] + -1 + -t[1,-2]`` and ``u = t[2,-4] + -2 + -t[2,-4]``,
+    under B with ``pi(1)`` for ``1`` in ``z`` and ``pi(0)`` for ``1`` in
+    ``u``: 2*z is the base element the letter conjugates, and u is a
+    second half of twice the identity, so ``f_z(u) = z = f_z(identity)``."""
+    one, base = ("pi(0)", "pi(1)") if variant is Variant.B_FREE_BASE else ("1", "1")
+    z = parse_element("t[{0},-2*{0}] + -{0} + -t[{0},-2*{0}]".format(base), variant)
+    u = parse_element("t[2*{0},-4*{0}] + -2*{0} + -t[2*{0},-4*{0}]".format(one), variant)
+    return z, u
 
 
 def nonzero_elements(variant, max_level=2):

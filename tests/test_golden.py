@@ -8,7 +8,11 @@ A change to the engine that alters any normal form, sampled element or
 report encoding shows up here as a byte difference.  The reports carry
 few element texts, so ``normal_forms_seed7.txt``, written by
 ``scripts/write_normal_forms.py``, pins rendered normal forms of sampled
-elements, their negatives, sums and embedding images as well."""
+elements, their negatives, sums and embedding images as well.  The
+depth-4 summary ``run_suites_seed11_depth4.txt`` is the standard output
+of
+
+    scripts/run_suites.py --seed 11 --count 200 --depth 4"""
 
 import os
 import pathlib
@@ -46,6 +50,14 @@ def test_report_matches_golden(runner, tag):
 
 def test_normal_forms_match_golden():
     assert write_normal_forms.normal_forms() == write_normal_forms.GOLDEN.read_bytes()
+
+
+def test_run_suites_depth_4_summary_matches_golden(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["run_suites.py", "--seed", "11", "--count", "200",
+                                      "--depth", "4"])
+    assert run_suites.main() == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "run_suites_seed11_depth4.txt").read_bytes()
 
 
 def test_every_golden_is_checked():

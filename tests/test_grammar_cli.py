@@ -21,6 +21,8 @@ from hnn_nearring import (
     SampleConfig,
     Variant,
     WrongVariant,
+    add,
+    identity_element,
     make_int,
     make_pi,
     make_stable,
@@ -30,11 +32,12 @@ from hnn_nearring import (
     render,
     run_cli,
     sample_element,
+    scale,
     witness_nonequiprime_C,
     write_report,
 )
 from hnn_nearring import cli_io
-from conftest import elements
+from conftest import colliding_halves, elements
 
 A = Variant.A_INT_BASE
 B = Variant.B_FREE_BASE
@@ -423,6 +426,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
+    def test_an_undefined_product_is_a_usage_error(self, variant, capsys):
+        # f_z sends u and the identity to z, so the letter t[u,1] has no
+        # image, nor has t[u + -1,2], whose first subscript goes to 0
+        # (README, "What it computes")
+        z, u = colliding_halves(variant)
+        one = identity_element(variant)
+        letters = [(make_stable(u, one), f" to t[{render(z)},{render(z)}], which is no letter\n"),
+                   (make_stable(add(u, neg(one)), scale(2, one)), " to t[0,")]
+        for letter, tail in letters:
+            assert run_cli(["mul", "--variant", variant.value, render(letter), render(z)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: product undefined: the embedding sends "
+                                           f"the letter {render(letter)}")
+            assert tail in captured.err
+            assert captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("suite, tag, supported", [
         ("nonequiprime", "A", "B or C"), ("equiprime", "B", "A"),

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 
 from hnn_nearring import (
     ZERO,
-    DegeneratePair,
     Element,
     SampleConfig,
+    UndefinedProduct,
     Variant,
     WrongVariant,
     ZeroInput,
@@ -41,7 +41,7 @@ from hnn_nearring import (
     scale,
 )
 from hnn_nearring import nearring_maps, word_core
-from conftest import elements, nonzero_elements
+from conftest import colliding_halves, elements, nonzero_elements
 
 A = Variant.A_INT_BASE
 B = Variant.B_FREE_BASE
@@ -499,17 +499,6 @@ class TestWitnessValues:
         assert mul(mul(a, x), b) is not mul(mul(a, x), c)
 
 
-def _colliding_halves(variant):
-    """``z = t[1,-2] + -1 + -t[1,-2]`` and ``u = t[2,-4] + -2 + -t[2,-4]``,
-    under B with ``pi(1)`` for ``1`` in ``z`` and ``pi(0)`` for ``1`` in
-    ``u``: 2*z is the base element the letter conjugates, and u is a
-    second half of twice the identity, so ``f_z(u) = z = f_z(identity)``."""
-    one, base = ("pi(0)", "pi(1)") if variant is B else ("1", "1")
-    z = parse_element("t[{0},-2*{0}] + -{0} + -t[{0},-2*{0}]".format(base), variant)
-    u = parse_element("t[2*{0},-4*{0}] + -2*{0} + -t[2*{0},-4*{0}]".format(one), variant)
-    return z, u
-
-
 class TestKnownFaults:
     """Faults recorded as FOUND lines in CHANGES.md or as ROADMAP items,
     pinned so that the change that mends one sees its test pass (strict
@@ -546,7 +535,7 @@ class TestKnownFaults:
                        "to one, so it is no embedding")
     @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
     def test_embedding_is_injective(self, variant):
-        z, u = _colliding_halves(variant)
+        z, u = colliding_halves(variant)
         assert f_eval(z, u) is not f_eval(z, identity_element(variant))
 
     @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND (ROADMAP item 7): the sweep never "
@@ -564,23 +553,23 @@ class TestKnownFaults:
     def test_the_colliding_inputs_are_valid(self, variant):
         # the faults below are not bad input: u, the letter t[u,1] and
         # u + -1 are nonzero elements, and z is a nonzero right factor
-        z, u = _colliding_halves(variant)
+        z, u = colliding_halves(variant)
         identity = identity_element(variant)
         assert u is not identity and scale(2, u) is scale(2, identity)
         assert z is not ZERO and add(u, neg(identity)) is not ZERO
         assert isinstance(make_stable(u, identity), Element)
 
-    @pytest.mark.xfail(strict=True, raises=DegeneratePair, reason="ROADMAP item 2: f_z sends "
+    @pytest.mark.xfail(strict=True, raises=UndefinedProduct, reason="ROADMAP item 2: f_z sends "
                        "u and the identity to one element, so the image of t[u,1] would be "
                        "a letter with equal subscripts")
     @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
     def test_product_is_total(self, variant):
-        z, u = _colliding_halves(variant)
+        z, u = colliding_halves(variant)
         assert isinstance(mul(make_stable(u, identity_element(variant)), z), Element)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: f_z sends u + -1 to 0, so two "
                        "nonzero elements have the product 0")
     @pytest.mark.parametrize("variant", [A, B, C], ids=["A", "B", "C"])
     def test_no_zero_divisors(self, variant):
-        z, u = _colliding_halves(variant)
+        z, u = colliding_halves(variant)
         assert mul(add(u, neg(identity_element(variant))), z) is not ZERO

@@ -3,6 +3,7 @@ scale and starts from empty engine memos."""
 
 import importlib
 import pathlib
+import random
 import sys
 import threading
 
@@ -40,7 +41,7 @@ from hnn_nearring import (
     witness_nonequiprime_C,
     write_report,
 )
-from hnn_nearring import nearring_maps, word_core
+from hnn_nearring import nearring_maps, verify_suites, word_core
 from hnn_nearring.word_core import EngineError
 
 A = Variant.A_INT_BASE
@@ -112,6 +113,20 @@ class TestSampler:
     def test_max_level_respected(self):
         cfg = SampleConfig(seed=3, count=0, max_level=2)
         assert all(level(sample_element(cfg, k, C)) <= 2 for k in range(60))
+
+    def test_draws_are_what_random_draws(self):
+        # the samplers draw integers and signs through _draw, which must
+        # give what randint and choice give from an identically seeded
+        # random.Random: every range the samplers use lies in -6..8
+        ranges = [(lo, hi) for lo in range(-6, 2) for hi in range(lo, 9)]
+        for seed in (0, 1, 11, 2**64 + 5):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(8):
+                for lo, hi in ranges:
+                    assert verify_suites._draw(ours, lo, hi) == ref.randint(lo, hi)
+                    assert (verify_suites._SIGNS[verify_suites._draw(ours, 0, 1)]
+                            == ref.choice((1, -1)))
+            assert ours.getstate() == ref.getstate()
 
 
 class TestSuitesPass:

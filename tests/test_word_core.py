@@ -479,6 +479,23 @@ class TestSharing:
         assert _seq_count() == before
 
 
+    @pytest.mark.parametrize("variant", [A, C], ids=["A", "C"])
+    def test_a_lone_letter_piece_is_held_as_its_shared_pair(self, variant):
+        # a caller's own (sign, letter) tuple never enters a stream, even
+        # where a lone piece or a one-letter negation skips the
+        # normalizer; the subscripts keep other tests from interning
+        # either one-letter stream first
+        lt = word_core._letter(make_int(9041, variant), make_int(-9043, variant))
+        assert (lt._pos,) not in word_core._INTERNED
+        assert (lt._neg,) not in word_core._INTERNED
+        piece = (1, lt)
+        assert piece is not lt._pos
+        s = sum_elements([piece])
+        assert s.items[0] is lt._pos
+        assert neg(s).items[0] is lt._neg
+        assert sum_elements([ZERO, (-1, lt), ZERO]) is neg(s)
+
+
 class TestIdentityHashing:
     """Interned values hash by identity, so an element reached by two
     routes must be the very same dictionary key."""
